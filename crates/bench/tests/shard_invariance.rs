@@ -23,11 +23,10 @@ use pifs_bench::runner::SweepRunner;
 use pifs_bench::scenario::{find, workload_seed, ParamValue, Point};
 use pifs_bench::{meta_distribution, scale_buffers, SEED, STD_BATCHES, STD_BATCH_SIZE};
 use pifs_core::engine::cluster::{
-    functional_tables, merged_bag_embedding, query_checksums, ClusterConfig, ShardPlacement,
-    ShardPolicy, SlsCluster,
+    functional_tables, merged_bag_embedding, ClusterConfig, ShardPlacement, ShardPolicy, SlsCluster,
 };
 use pifs_core::system::{SlsSystem, SystemConfig};
-use simkit::SimTime;
+use simkit::{FaultSchedule, SimTime};
 use tracegen::{ArrivalProcess, Trace};
 
 const SERVE_QUERIES: usize = (STD_BATCHES * STD_BATCH_SIZE) as usize;
@@ -93,34 +92,49 @@ fn one_shard_cluster_is_byte_identical_to_the_node() {
 fn sharded_merges_are_bit_identical_for_every_shard_count() {
     let (cfg, trace, arrivals) = workload(RATES[0]);
     let tables = functional_tables(&cfg.model);
-    // The unsharded reference: k = 1 (== the whole-bag exact sum).
-    let reference = query_checksums(
-        &ShardPlacement::build(
-            &ClusterConfig::new(1, ShardPolicy::RowHash, cfg.clone()),
-            &trace,
-        ),
-        &tables,
-        &trace,
-        arrivals.len(),
-    );
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    // The unsharded reference: each query's whole-bag exact sums, folded
+    // over tables and elements exactly as the cluster merge folds them.
+    let reference: Vec<f64> = (0..arrivals.len())
+        .map(|qid| {
+            let (batch, sample) = (
+                qid / trace.batch_size as usize,
+                (qid % trace.batch_size as usize) as u32,
+            );
+            tables
+                .iter()
+                .enumerate()
+                .map(|(t, table)| {
+                    let bag = trace.bag(batch, t as u32, sample);
+                    dlrm::sls::sls_reference_exact(table, bag, None)
+                        .iter()
+                        .sum::<f64>()
+                })
+                .sum()
+        })
+        .collect();
+    // A 1-shard cluster reports exactly the reference.
+    let one = SlsCluster::new(ClusterConfig::new(1, ShardPolicy::RowHash, cfg.clone()))
+        .run_open_loop(&trace, &arrivals);
+    assert_eq!(bits(&one.query_checksums), bits(&reference));
     for policy in POLICIES {
         for k in [2u16, 4, 8] {
-            let cluster_cfg = ClusterConfig::new(k, policy, cfg.clone());
-            let placement = ShardPlacement::build(&cluster_cfg, &trace);
-            // Per-query checksums, bit for bit.
-            let got = query_checksums(&placement, &tables, &trace, arrivals.len());
-            assert_eq!(
-                bits(&got),
-                bits(&reference),
-                "{policy:?} k={k}: per-query checksums drifted"
-            );
-            // And the full merged embeddings of the first batch, element
-            // by element, against the exact whole-bag reference.
+            let placement = ShardPlacement::from_dims(k, trace.n_tables, policy);
+            let no_faults = FaultSchedule::none(k);
+            // The full merged embeddings of the first batch, element by
+            // element, against the exact whole-bag reference.
             for sample in 0..trace.batch_size {
                 for (t, table) in tables.iter().enumerate() {
                     let bag = trace.bag(0, t as u32, sample);
-                    let merged = merged_bag_embedding(&placement, table, t as u32, bag);
+                    let merged = merged_bag_embedding(
+                        &placement,
+                        &no_faults,
+                        SimTime::ZERO,
+                        &[],
+                        table,
+                        t as u32,
+                        bag,
+                    );
                     let whole = dlrm::sls::sls_reference_exact(table, bag, None);
                     assert_eq!(
                         bits(&merged),
@@ -129,10 +143,15 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
                     );
                 }
             }
-            // End-to-end: the full cluster run reports the same exact
-            // checksums it would report unsharded.
-            let met = SlsCluster::new(cluster_cfg).run_open_loop(&trace, &arrivals);
-            assert_eq!(bits(&met.query_checksums), bits(&reference));
+            // End-to-end: the full cluster run reports, bit for bit, the
+            // per-query checksums it would report unsharded.
+            let met = SlsCluster::new(ClusterConfig::new(k, policy, cfg.clone()))
+                .run_open_loop(&trace, &arrivals);
+            assert_eq!(
+                bits(&met.query_checksums),
+                bits(&reference),
+                "{policy:?} k={k}: per-query checksums drifted"
+            );
         }
     }
 }

@@ -27,8 +27,8 @@
 //!
 //! * `max_wait_ns` only ever moves **at or below** its configured base,
 //!   so the windowed-latency retirement bound (computed from the base
-//!   `max_wait_ns` at session start) stays conservative — see
-//!   [`LatencyWindows`](super::serving::LatencyWindows).
+//!   `max_wait_ns` at session start) stays conservative — see the
+//!   serving layer's `LatencyWindows`.
 //! * `batch_size` is bounded by [`BATCH_GROWTH_CAP`] × base, so the
 //!   session's pending-bag store stays bounded.
 

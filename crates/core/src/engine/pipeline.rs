@@ -268,8 +268,6 @@ impl<'r> BagState<'r> {
 /// Stages run in a fixed order over a shared [`EngineCtx`]; each advances
 /// the bag's timing (`done`, `core_busy`) and functional state (`acc`).
 pub(crate) trait Stage: Sync {
-    /// Short stage name for diagnostics.
-    fn name(&self) -> &'static str;
     /// Advances `bag` through this stage.
     fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>);
 }
@@ -282,11 +280,6 @@ pub(crate) const STAGES: &[&dyn Stage] = &[
     &CxlGatherStage,
     &FinalizeStage,
 ];
-
-/// Names of the standard stages, in execution order.
-pub(crate) fn stage_names() -> Vec<&'static str> {
-    STAGES.iter().map(|s| s.name()).collect()
-}
 
 /// Processes one bag through [`STAGES`]; returns
 /// `(completion_time, core_free_time)`.
@@ -312,10 +305,6 @@ pub(crate) fn process_bag(
 pub(crate) struct ClassifyStage;
 
 impl Stage for ClassifyStage {
-    fn name(&self) -> &'static str {
-        "classify"
-    }
-
     fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         ctx.metrics.lookups += bag.rows.len() as u64;
         for &row in bag.rows {
@@ -346,10 +335,6 @@ impl Stage for ClassifyStage {
 pub(crate) struct LocalGatherStage;
 
 impl Stage for LocalGatherStage {
-    fn name(&self) -> &'static str {
-        "local-gather"
-    }
-
     fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         if bag.local.is_empty() {
             return;
@@ -416,10 +401,6 @@ impl Stage for LocalGatherStage {
 pub(crate) struct RemoteGatherStage;
 
 impl Stage for RemoteGatherStage {
-    fn name(&self) -> &'static str {
-        "remote-gather"
-    }
-
     fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         if bag.remote.is_empty() {
             return;
@@ -461,10 +442,6 @@ impl Stage for RemoteGatherStage {
 pub(crate) struct CxlGatherStage;
 
 impl Stage for CxlGatherStage {
-    fn name(&self) -> &'static str {
-        "cxl-gather"
-    }
-
     fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         if bag.cxl.is_empty() {
             return;
@@ -482,10 +459,6 @@ impl Stage for CxlGatherStage {
 pub(crate) struct FinalizeStage;
 
 impl Stage for FinalizeStage {
-    fn name(&self) -> &'static str {
-        "finalize"
-    }
-
     fn run(&self, ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) {
         ctx.metrics.checksum += bag.acc.iter().map(|&x| x as f64).sum::<f64>();
     }
@@ -783,20 +756,5 @@ mod tests {
                 table.id()
             );
         }
-    }
-
-    #[test]
-    fn stages_run_in_request_to_accumulate_order() {
-        let names: Vec<&str> = STAGES.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "classify",
-                "local-gather",
-                "remote-gather",
-                "cxl-gather",
-                "finalize"
-            ]
-        );
     }
 }

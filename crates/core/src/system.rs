@@ -3,7 +3,7 @@
 //!
 //! [`SlsSystem`] composes the [`crate::engine`] layers —
 //! [`config`](crate::engine::config), [`topology`](crate::engine::topology),
-//! [`pipeline`],
+//! [`pipeline`](crate::engine::pipeline),
 //! [`pagemgmt_epoch`](crate::engine::pagemgmt_epoch) and
 //! [`metrics`](crate::engine::metrics) — and executes a
 //! [`tracegen::Trace`], producing the latency/bandwidth/occupancy metrics
@@ -26,7 +26,7 @@ use tracegen::{QueryStream, Trace};
 use crate::engine::config::page_align;
 use crate::engine::metrics::CounterOffsets;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
-use crate::engine::pipeline::{self, process_bag, EngineCtx, EngineScratch};
+use crate::engine::pipeline::{process_bag, EngineCtx, EngineScratch};
 use crate::engine::serving::{LatencyWindows, OpenLoopSession, QueryBatcher, ReadyBatch};
 use crate::engine::topology::Plant;
 
@@ -167,12 +167,6 @@ impl SlsSystem {
     /// Read access to the placement table (for tests and harnesses).
     pub fn page_table(&self) -> &PageTable {
         &self.page_table
-    }
-
-    /// The per-bag pipeline stages, in execution order (introspection
-    /// for harnesses and diagnostics).
-    pub fn pipeline_stages(&self) -> Vec<&'static str> {
-        pipeline::stage_names()
     }
 
     /// Removes the process core from switch `idx` (CNV = 0), forcing the

@@ -204,3 +204,12 @@ fn cluster_arrival_overrun_rejected() {
     let arrivals = vec![SimTime::ZERO; 17];
     let _ = SlsCluster::new(cfg).run_open_loop(&trace, &arrivals);
 }
+
+#[test]
+#[should_panic(expected = "sorted non-decreasing")]
+fn cluster_unsorted_arrivals_rejected() {
+    let cfg = cluster_cfg(2, ShardPolicy::RowHash);
+    let trace = trace_for(&cfg.node.model.clone(), 16);
+    let arrivals = vec![SimTime::from_ns(10), SimTime::ZERO];
+    let _ = SlsCluster::new(cfg).run_open_loop(&trace, &arrivals);
+}

@@ -336,11 +336,11 @@ fn one_shard_streamed_cluster_is_the_streamed_node() {
 
 #[test]
 fn streamed_cluster_matches_materialized_cluster() {
-    // Multi-shard: incremental routing + streamed merge must equal the
-    // materialized shard_workloads + merge_cluster path field for
-    // field, per node, at every shard count and policy — including
-    // with hot-row replication, which exercises the streamed hotness
-    // scan in `ShardPlacement::build_streamed`.
+    // Multi-shard: a lazy stream must equal its materialized trace and
+    // arrival vector served through the `TraceSource` adapter, field
+    // for field, per node, at every shard count and policy — including
+    // with hot-row replication, which exercises the hotness scan in
+    // `ShardPlacement::build_streamed` over both sources.
     let m = small_model();
     let node = SystemConfig::pifs_rec(m.clone());
     let spec = spec_for(&m, 64, ArrivalProcess::Poisson { qps: 50_000.0 });

@@ -15,7 +15,6 @@
 //!   ([`memsim::DramDevice`] plus link serialization);
 //! * [`FabricSwitch`] — port bookkeeping, device binding (the Fabric
 //!   Manager endpoint's job) and switch transit latency;
-//! * [`BiasTable`] — host-bias/device-bias coherence regions (§II-B1);
 //! * [`Topology`] — multi-switch scale-out graphs for §IV-C.
 //!
 //! # Examples
@@ -33,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bias;
 pub mod instr;
 pub mod link;
 pub mod opcode;
@@ -41,7 +39,6 @@ pub mod switch;
 pub mod topology;
 pub mod type3;
 
-pub use bias::{BiasMode, BiasTable};
 pub use instr::M2sReq;
 pub use link::{CxlParams, FlexBusLink};
 pub use opcode::MemOpcode;

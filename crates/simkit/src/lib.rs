@@ -8,50 +8,29 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
 //!   matching the paper's 1 ns/clk top-module tick (§VI-A).
-//! * [`EventQueue`] — a deterministic time-ordered event queue with FIFO
-//!   tie-breaking (a calendar queue; [`BinaryEventQueue`] is the
-//!   binary-heap reference it is differentially tested against).
 //! * [`hash`] — a fast deterministic hasher ([`hash::FastMap`]) for
 //!   simulation-internal maps on hot paths.
 //! * [`BandwidthLink`] — a serialization-delay model for bandwidth-limited
 //!   resources (FlexBus lanes, DIMM data buses, switch ports).
-//! * [`BoundedQueue`] — a capacity-limited FIFO used to model backpressure
-//!   (the Accumulate Config Register's `CapacityCounter` in §IV-A3).
-//! * [`stats`] — counters, histograms and bandwidth meters used by every
-//!   experiment harness.
+//! * [`stats`] — latency histograms, summaries, the event tally and the
+//!   allocation counters used by every experiment harness.
 //! * [`rng`] — a small deterministic RNG so that every figure regenerates
 //!   bit-identically.
 //! * [`faults`] — seeded fault schedules (fail-stop, slow-down, link
 //!   degradation) generated as pure data, so faulty runs stay exactly as
 //!   reproducible as fault-free ones.
-//!
-//! # Examples
-//!
-//! ```
-//! use simkit::{EventQueue, SimTime, SimDuration};
-//!
-//! let mut q: EventQueue<&str> = EventQueue::new();
-//! q.push(SimTime::from_ns(10), "b");
-//! q.push(SimTime::from_ns(5), "a");
-//! let (t, ev) = q.pop().unwrap();
-//! assert_eq!((t.as_ns(), ev), (5, "a"));
-//! ```
 
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod faults;
 pub mod hash;
 pub mod link;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{BinaryEventQueue, EventQueue};
 pub use faults::{FaultEvent, FaultKind, FaultSchedule, FaultSpec};
 pub use link::BandwidthLink;
-pub use queue::BoundedQueue;
 pub use rng::DetRng;
-pub use stats::{BandwidthMeter, Counter, Histogram, LatencyHist, Summary};
+pub use stats::{LatencyHist, Summary};
 pub use time::{SimDuration, SimTime};

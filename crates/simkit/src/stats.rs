@@ -6,9 +6,8 @@
 //! those plots are derived from.
 
 use std::cell::Cell;
-use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 thread_local! {
     /// Monotone per-thread count of simulated events (see [`record_events`]).
@@ -135,137 +134,6 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
             Self::on_alloc(new_size);
         }
         p
-    }
-}
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::Counter;
-/// let mut hits = Counter::default();
-/// hits.add(3);
-/// hits.incr();
-/// assert_eq!(hits.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// A log2-bucketed latency histogram with exact mean tracking.
-///
-/// Buckets hold values in `[2^i, 2^(i+1))` nanoseconds; bucket 0 holds 0–1.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::{Histogram, SimDuration};
-/// let mut h = Histogram::new();
-/// h.record(SimDuration::from_ns(100));
-/// h.record(SimDuration::from_ns(300));
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.mean_ns(), 200.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum_ns: u128,
-    min_ns: u64,
-    max_ns: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_ns();
-        let idx = (64 - ns.leading_zeros()).saturating_sub(1).min(63) as usize;
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean sample in nanoseconds (0.0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample, or `None` when empty.
-    pub fn min(&self) -> Option<SimDuration> {
-        (self.count > 0).then(|| SimDuration::from_ns(self.min_ns))
-    }
-
-    /// Largest recorded sample, or `None` when empty.
-    pub fn max(&self) -> Option<SimDuration> {
-        (self.count > 0).then(|| SimDuration::from_ns(self.max_ns))
-    }
-
-    /// Approximate p-th percentile (0.0–1.0) from bucket boundaries.
-    pub fn percentile(&self, p: f64) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target.max(1) {
-                // Upper edge of the bucket is a conservative estimate.
-                return SimDuration::from_ns(if i >= 63 { u64::MAX } else { (2u64 << i) - 1 });
-            }
-        }
-        SimDuration::from_ns(self.max_ns)
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -439,56 +307,6 @@ impl LatencyHist {
             }
         }
         self.max_ns
-    }
-}
-
-/// Tracks total bytes moved over a horizon and yields average bandwidth.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::{BandwidthMeter, SimTime};
-/// let mut m = BandwidthMeter::new();
-/// m.record(SimTime::from_ns(10), 640);
-/// m.record(SimTime::from_ns(20), 640);
-/// assert_eq!(m.total_bytes(), 1280);
-/// assert!((m.average_gbps(SimTime::from_ns(20)) - 64.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BandwidthMeter {
-    total_bytes: u64,
-    last_event: SimTime,
-}
-
-impl BandwidthMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` delivered at time `at`.
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
-        self.total_bytes += bytes;
-        self.last_event = self.last_event.max(at);
-    }
-
-    /// Total bytes observed.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Time of the last recorded delivery.
-    pub fn last_event(&self) -> SimTime {
-        self.last_event
-    }
-
-    /// Average bandwidth in GB/s over `[0, horizon]`.
-    pub fn average_gbps(&self, horizon: SimTime) -> f64 {
-        if horizon.as_ns() == 0 {
-            0.0
-        } else {
-            self.total_bytes as f64 / horizon.as_ns() as f64
-        }
     }
 }
 
@@ -747,49 +565,6 @@ mod tests {
             }
             prop_assert_eq!(&ab.buckets, &whole.buckets);
         }
-    }
-
-    #[test]
-    fn histogram_tracks_mean_min_max() {
-        let mut h = Histogram::new();
-        for ns in [10u64, 20, 30] {
-            h.record(SimDuration::from_ns(ns));
-        }
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.mean_ns(), 20.0);
-        assert_eq!(h.min().unwrap().as_ns(), 10);
-        assert_eq!(h.max().unwrap().as_ns(), 30);
-    }
-
-    #[test]
-    fn histogram_empty_is_sane() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0.0);
-        assert!(h.min().is_none());
-        assert!(h.max().is_none());
-        assert_eq!(h.percentile(0.99), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn histogram_percentile_is_monotone() {
-        let mut h = Histogram::new();
-        for ns in 1..=1024u64 {
-            h.record(SimDuration::from_ns(ns));
-        }
-        let p50 = h.percentile(0.5);
-        let p99 = h.percentile(0.99);
-        assert!(p50 <= p99);
-        assert!(p99.as_ns() >= 1000);
-    }
-
-    #[test]
-    fn bandwidth_meter_accumulates() {
-        let mut m = BandwidthMeter::new();
-        m.record(SimTime::from_ns(5), 100);
-        m.record(SimTime::from_ns(3), 50);
-        assert_eq!(m.total_bytes(), 150);
-        assert_eq!(m.last_event(), SimTime::from_ns(5));
     }
 
     #[test]

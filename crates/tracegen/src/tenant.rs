@@ -19,7 +19,7 @@
 //! narrower tenants are not padded with fake work).
 //!
 //! Checkpointing falls out of the representation, exactly as for
-//! [`QueryStream`](crate::QueryStream): the mix is `Clone`, and a clone
+//! [`QueryStream`]: the mix is `Clone`, and a clone
 //! is a resumable snapshot.
 
 use serde::{Deserialize, Serialize};
@@ -126,11 +126,6 @@ impl TenantMixStream {
     /// The tenant specs this mix was opened from, tenant-index order.
     pub fn specs(&self) -> &[TenantSpec] {
         &self.specs
-    }
-
-    /// Number of tenants in the mix.
-    pub fn n_tenants(&self) -> u16 {
-        self.specs.len() as u16
     }
 
     /// Tables per query: the maximum across tenants (narrower tenants
