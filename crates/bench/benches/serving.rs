@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pifs_bench::{meta_distribution, scaled};
-use pifs_core::system::{SlsSystem, SystemConfig};
+use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig, TraceSource};
 use simkit::LatencyHist;
 use tracegen::{ArrivalProcess, TraceSpec};
 
@@ -119,7 +119,10 @@ fn bench_serving(c: &mut Criterion) {
         let arrivals = ArrivalProcess::Poisson { qps: 8_000_000.0 }.times(96, 13);
         b.iter(|| {
             let mut sys = SlsSystem::new(SystemConfig::pifs_rec(model.clone()));
-            let met = sys.run_open_loop(&trace, &arrivals);
+            let met = sys.serve(
+                &mut TraceSource::new(&trace, &arrivals),
+                OpenLoopOpts::default(),
+            );
             black_box(met.latency.percentile(0.99))
         })
     });

@@ -256,6 +256,54 @@ impl ResultRow {
         });
         serde_json::to_string(&line).expect("serializable")
     }
+
+    /// The numeric `data` field `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row carries no number under `key`.
+    pub(crate) fn get_f64(&self, key: &str) -> f64 {
+        self.data
+            .get(key)
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("row carries {key}"))
+    }
+
+    /// Parameter `name`'s value, as displayed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has no parameter `name`.
+    pub(crate) fn param(&self, name: &str) -> String {
+        self.params
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.to_string())
+            .unwrap_or_else(|| panic!("row carries param {name}"))
+    }
+
+    /// Whether the row's data flags its point `saturated`.
+    pub(crate) fn is_saturated(&self) -> bool {
+        self.data.get("saturated").and_then(Value::as_bool) == Some(true)
+    }
+}
+
+/// Splits `rows` into runs of consecutive rows sharing `key`, in grid
+/// order. With `qps` the innermost axis and `key` over the outer axes,
+/// each run is one curve, ascending in qps.
+pub(crate) fn curves<K: PartialEq>(
+    rows: &[ResultRow],
+    key: impl Fn(&ResultRow) -> K,
+) -> Vec<(K, Vec<&ResultRow>)> {
+    let mut out: Vec<(K, Vec<&ResultRow>)> = Vec::new();
+    for row in rows {
+        let k = key(row);
+        match out.last_mut() {
+            Some((last, group)) if *last == k => group.push(row),
+            _ => out.push((k, vec![row])),
+        }
+    }
+    out
 }
 
 /// Enumerates the row-major cartesian product of `specs` (last axis

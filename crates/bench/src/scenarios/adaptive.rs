@@ -27,12 +27,12 @@
 //! controller's p99 at the *fixed* policy's knee, plus the per-policy
 //! max-stable-QPS-under-SLA frontier.
 
-use pifs_core::system::{OpenLoopOpts, SlsSystem};
+use pifs_core::system::{OpenLoopOpts, SlsSystem, TraceSource};
 use serde_json::{json, Map, Value};
 use tracegen::{ArrivalProcess, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec};
 
 use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, ResultRow};
+use crate::scenario::{curves, workload_seed, GridScenario, ParamSpec, Point, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Batches per point: 4x the family standard. The load controller
@@ -177,7 +177,10 @@ fn run_adaptive_point(p: &Point) -> Value {
             .generate();
             let arrivals = process.times(SERVE_QUERIES, arrival_seed);
             let last = arrivals.last().map_or(0, |t| t.as_ns());
-            let met = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+            let met = SlsSystem::new(cfg).serve(
+                &mut TraceSource::new(&trace, &arrivals),
+                OpenLoopOpts::default(),
+            );
             (met, last, Vec::new())
         }
         Traffic::Mix => {
@@ -196,7 +199,7 @@ fn run_adaptive_point(p: &Point) -> Value {
                 .max()
                 .unwrap_or(0);
             let mut mix = TenantMixStream::new(specs);
-            let met = SlsSystem::new(cfg).run_open_loop_mix(
+            let met = SlsSystem::new(cfg).serve(
                 &mut mix,
                 OpenLoopOpts {
                     record_completion: false,
@@ -247,38 +250,6 @@ fn run_adaptive_point(p: &Point) -> Value {
     })
 }
 
-/// One row's parameter value by axis name.
-fn param(row: &ResultRow, name: &str) -> String {
-    row.params
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| panic!("row carries param {name}"))
-}
-
-/// `data` field accessor for the adaptive rows.
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
-/// Groups rows by (controller, traffic), preserving grid order (`qps`
-/// is the innermost axis, so each group is a contiguous ascending-qps
-/// chunk).
-fn curves(rows: &[ResultRow]) -> Vec<((String, String), Vec<&ResultRow>)> {
-    let mut out: Vec<((String, String), Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = (param(row, "controller"), param(row, "traffic"));
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
 /// The under-SLA stability view of a curve: a point is "stable" only if
 /// it is unsaturated *and* holds the p99 SLA; the fold is over offered
 /// rate (the frontier is an admission-control answer, not a throughput
@@ -287,14 +258,13 @@ fn sla_frontier(group: &[&ResultRow]) -> Option<f64> {
     let points: Vec<stability::StabilityPoint> = group
         .iter()
         .map(|r| {
-            let offered = get_f64(r, "offered_qps");
-            let p99 = get_f64(r, "p99_ns");
+            let offered = r.get_f64("offered_qps");
+            let p99 = r.get_f64("p99_ns");
             stability::StabilityPoint {
                 stable_qps: offered,
                 offered_qps: offered,
                 p99_ns: p99,
-                saturated: r.data.get("saturated").and_then(Value::as_bool) == Some(true)
-                    || p99 > P99_SLA_NS,
+                saturated: r.is_saturated() || p99 > P99_SLA_NS,
             }
         })
         .collect();
@@ -323,16 +293,16 @@ pub static LATENCY_ADAPTIVE: GridScenario = GridScenario {
     run: run_adaptive_point,
     parts: None,
     summarize: |rows| {
-        let groups = curves(rows);
+        let groups = curves(rows, |r| (r.param("controller"), r.param("traffic")));
         let mut curve_objs = Map::new();
         for ((controller, traffic), group) in &groups {
             let (knee, max_stable) = stability::stability_json(&stability::serving_points(group));
             curve_objs.insert(
                 format!("{controller}/{traffic}"),
                 json!({
-                    "offered_qps": group.iter().map(|r| get_f64(r, "offered_qps")).collect::<Vec<f64>>(),
-                    "achieved_qps": group.iter().map(|r| get_f64(r, "achieved_qps")).collect::<Vec<f64>>(),
-                    "p99_ns": group.iter().map(|r| get_f64(r, "p99_ns")).collect::<Vec<f64>>(),
+                    "offered_qps": group.iter().map(|r| r.get_f64("offered_qps")).collect::<Vec<f64>>(),
+                    "achieved_qps": group.iter().map(|r| r.get_f64("achieved_qps")).collect::<Vec<f64>>(),
+                    "p99_ns": group.iter().map(|r| r.get_f64("p99_ns")).collect::<Vec<f64>>(),
                     "knee_qps": knee,
                     "max_stable_qps": max_stable,
                     "sla_stable_qps": sla_frontier(group).map_or(Value::Null, Value::from),
@@ -363,8 +333,8 @@ pub static LATENCY_ADAPTIVE: GridScenario = GridScenario {
                                 .find(|((c, t), _)| c == controller && t == traffic)
                                 .and_then(|(_, g)| {
                                     g.iter()
-                                        .find(|r| get_f64(r, "offered_qps") == knee)
-                                        .map(|r| get_f64(r, "p99_ns"))
+                                        .find(|r| r.get_f64("offered_qps") == knee)
+                                        .map(|r| r.get_f64("p99_ns"))
                                 })
                         })
                         .map_or(Value::Null, Value::from)

@@ -32,7 +32,7 @@
 //! to the materialized path.
 
 use pifs_core::engine::cluster::{
-    merge_streamed, route_stream, ClusterConfig, ShardPlacement, ShardPolicy,
+    merge_streamed, route_stream, ClusterConfig, ClusterMetrics, ShardPlacement, ShardPolicy,
 };
 use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig};
 use serde_json::{json, Value};
@@ -40,7 +40,9 @@ use simkit::SimTime;
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
 use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, PointParts, ResultRow};
+use crate::scenario::{
+    curves, workload_seed, GridScenario, ParamSpec, Point, PointParts, ResultRow,
+};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (matches the `latency_qps` family).
@@ -73,13 +75,122 @@ fn qps_axis() -> ParamSpec {
     ParamSpec::u64s("qps", [2_000_000, 8_000_000, 32_000_000, 128_000_000])
 }
 
-/// Everything a point's parts and merge share, rebuilt deterministically
-/// on both sides: the cluster config, the seeded stream spec (in place
-/// of a materialized workload), and the row→shard placement.
-struct ClusterSetup {
-    cfg: ClusterConfig,
+/// Everything a sharded point's parts and merge share, rebuilt
+/// deterministically on both sides: the cluster config, the seeded
+/// stream spec (in place of a materialized workload), and the row→shard
+/// placement. `cluster_faults` shares it, parts and merge included.
+pub(super) struct ClusterSetup {
+    pub(super) cfg: ClusterConfig,
     spec: QueryStreamSpec,
     placement: ShardPlacement,
+}
+
+impl ClusterSetup {
+    pub(super) fn new(cfg: ClusterConfig, spec: QueryStreamSpec) -> Self {
+        let placement = ShardPlacement::build_streamed(&cfg, &spec.stream());
+        ClusterSetup {
+            cfg,
+            spec,
+            placement,
+        }
+    }
+
+    /// Runs node `part`: streams the shared workload through the
+    /// liveness-aware router and pushes only this shard's routed
+    /// sub-bags into a fresh node session under the node's slow-down
+    /// windows. Returns the completion vector the merge keys on
+    /// (run-relative ns, local-qid order), the local qids the node
+    /// shed, and the node's own accounting. Without faults or shedding
+    /// the slow-downs and the shed list are empty.
+    pub(super) fn run_node_part(&self, part: usize) -> Value {
+        let mut node = SlsSystem::new(self.cfg.node.clone());
+        node.set_slowdowns(self.cfg.faults.slow_intervals(part as u16));
+        node.open_loop_begin(self.spec.trace.n_tables, OpenLoopOpts::default());
+        route_stream(
+            &self.placement,
+            &self.cfg.faults,
+            &mut self.spec.stream(),
+            |shard, _tenant, at, sub| {
+                if shard == part {
+                    node.open_loop_push(at, sub);
+                }
+            },
+        );
+        let met = node.open_loop_finish();
+        json!({
+            "completions_ns": met.completion.iter().map(|t| t.as_ns()).collect::<Vec<u64>>(),
+            "shed_qids": met.shed_qids,
+            "queries": met.queries,
+            "lookups": met.run.lookups,
+            "makespan_ns": met.makespan_ns,
+            "service_ns": met.run.total_ns,
+        })
+    }
+
+    /// Merges the nodes' part values: replays the router (failover
+    /// included) over the completion vectors, maps each node's shed
+    /// local qids to global ones, and runs the timing and exact
+    /// functional merge. Returns the merged metrics and the last
+    /// arrival, ns.
+    pub(super) fn merge_node_parts(&self, parts: &[Value]) -> (ClusterMetrics, u64) {
+        let field = |v: &Value, key: &str| -> Vec<u64> {
+            v.get(key)
+                .and_then(Value::as_array)
+                .unwrap_or_else(|| panic!("part carries {key}"))
+                .iter()
+                .map(|n| n.as_u64().expect("integer value"))
+                .collect()
+        };
+        let completions: Vec<Vec<SimTime>> = parts
+            .iter()
+            .map(|v| {
+                field(v, "completions_ns")
+                    .into_iter()
+                    .map(SimTime::from_ns)
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[SimTime]> = completions.iter().map(Vec::as_slice).collect();
+        let makespans: Vec<u64> = parts
+            .iter()
+            .map(|v| {
+                v.get("makespan_ns")
+                    .and_then(Value::as_u64)
+                    .expect("part carries makespan_ns")
+            })
+            .collect();
+        let mut stream = self.spec.stream();
+        let replay = stream.clone();
+        let routed = route_stream(
+            &self.placement,
+            &self.cfg.faults,
+            &mut stream,
+            |_, _, _, _| {},
+        );
+        // Nodes shed by local qid; the merge keys on global qids.
+        let sheds: Vec<Vec<u64>> = parts
+            .iter()
+            .enumerate()
+            .map(|(n, v)| {
+                field(v, "shed_qids")
+                    .into_iter()
+                    .map(|lq| routed.qids[n][lq as usize])
+                    .collect()
+            })
+            .collect();
+        let shed_refs: Vec<&[u64]> = sheds.iter().map(Vec::as_slice).collect();
+        let met = merge_streamed(
+            &self.cfg,
+            &self.placement,
+            &replay,
+            &routed,
+            &refs,
+            &shed_refs,
+            &makespans,
+        );
+        let last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
+        (met, last_arrival_ns)
+    }
 }
 
 fn setup(p: &Point) -> ClusterSetup {
@@ -122,85 +233,20 @@ fn setup(p: &Point) -> ClusterSetup {
         arrival_seed,
     };
 
-    let cfg = ClusterConfig::new(nodes, policy, node);
-    let placement = ShardPlacement::build_streamed(&cfg, &spec.stream());
-    ClusterSetup {
-        cfg,
-        spec,
-        placement,
-    }
+    ClusterSetup::new(ClusterConfig::new(nodes, policy, node), spec)
 }
 
-/// Runs node `part` of the point's cluster: streams the shared
-/// workload through the router and pushes only this shard's routed
-/// sub-bags into a fresh node session, returning the completion vector
-/// the merge keys on (run-relative ns, local-qid order).
+/// Runs node `part` of the point's cluster.
 fn run_node_part(p: &Point, part: usize) -> Value {
-    let s = setup(p);
-    let mut node = SlsSystem::new(s.cfg.node.clone());
-    node.open_loop_begin(s.spec.trace.n_tables, OpenLoopOpts::default());
-    let mut stream = s.spec.stream();
-    route_stream(
-        &s.placement,
-        &s.cfg.faults,
-        &mut stream,
-        |shard, _tenant, at, sub| {
-            if shard == part {
-                node.open_loop_push(at, sub);
-            }
-        },
-    );
-    let met = node.open_loop_finish();
-    json!({
-        "completions_ns": met.completion.iter().map(|t| t.as_ns()).collect::<Vec<u64>>(),
-        "queries": met.queries,
-        "lookups": met.run.lookups,
-        "makespan_ns": met.makespan_ns,
-        "service_ns": met.run.total_ns,
-    })
+    setup(p).run_node_part(part)
 }
 
-/// Merges the nodes' part values into the point row: replay the
-/// deterministic router merge over the completion vectors, then attach
-/// the exact functional checksum and the per-node accounting.
+/// Merges the nodes' part values into the point row: the merged
+/// latency and fan-out, the exact functional checksum, and the
+/// per-node accounting.
 fn merge_node_parts(p: &Point, parts: Vec<Value>) -> Value {
-    let s = setup(p);
-    let completions: Vec<Vec<SimTime>> = parts
-        .iter()
-        .map(|v| {
-            v.get("completions_ns")
-                .and_then(Value::as_array)
-                .expect("part carries completions_ns")
-                .iter()
-                .map(|n| SimTime::from_ns(n.as_u64().expect("ns value")))
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[SimTime]> = completions.iter().map(Vec::as_slice).collect();
-    let makespans: Vec<u64> = parts
-        .iter()
-        .map(|v| {
-            v.get("makespan_ns")
-                .and_then(Value::as_u64)
-                .expect("part carries makespan_ns")
-        })
-        .collect();
-    let mut stream = s.spec.stream();
-    let replay = stream.clone();
-    let routed = route_stream(&s.placement, &s.cfg.faults, &mut stream, |_, _, _, _| {});
-    let sheds: Vec<&[u64]> = vec![&[]; refs.len()];
-    let met = merge_streamed(
-        &s.cfg,
-        &s.placement,
-        &replay,
-        &routed,
-        &refs,
-        &sheds,
-        &makespans,
-    );
-
+    let (met, last_arrival_ns) = setup(p).merge_node_parts(&parts);
     let qps = p.f64("qps");
-    let last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
     let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
     let node_u64 = |key: &str| -> Vec<u64> {
         parts
@@ -240,43 +286,6 @@ fn run_cluster_point(p: &Point) -> Value {
     merge_node_parts(p, (0..n).map(|i| run_node_part(p, i)).collect())
 }
 
-/// `data` field accessor.
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
-fn param(row: &ResultRow, name: &str) -> String {
-    row.params
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| panic!("row carries param {name}"))
-}
-
-fn is_saturated(row: &ResultRow) -> bool {
-    row.data.get("saturated").and_then(Value::as_bool) == Some(true)
-}
-
-/// Groups rows by (policy, nodes), preserving grid order (`qps` is the
-/// innermost axis, so each group is a contiguous ascending-qps chunk).
-fn curves(rows: &[ResultRow]) -> Vec<((String, u64), Vec<&ResultRow>)> {
-    let mut out: Vec<((String, u64), Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = (
-            param(row, "policy"),
-            param(row, "nodes").parse::<u64>().expect("nodes param"),
-        );
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
 /// The capacity-planning answer: for each offered rate, per policy, the
 /// smallest fleet whose run is unsaturated *and* meets the p99 SLA —
 /// plus what that fleet costs ([`tco::SystemBom::pifs_rec`], the
@@ -286,7 +295,7 @@ fn nodes_needed(rows: &[ResultRow]) -> Value {
     let mut per_qps: Vec<Value> = Vec::new();
     let mut qps_values: Vec<u64> = Vec::new();
     for row in rows {
-        let q = param(row, "qps").parse::<u64>().expect("qps param");
+        let q = row.param("qps").parse::<u64>().expect("qps param");
         if !qps_values.contains(&q) {
             qps_values.push(q);
         }
@@ -297,12 +306,12 @@ fn nodes_needed(rows: &[ResultRow]) -> Value {
             let winner = rows
                 .iter()
                 .filter(|r| {
-                    param(r, "policy") == policy
-                        && param(r, "qps").parse::<u64>() == Ok(q)
-                        && !is_saturated(r)
-                        && get_f64(r, "p99_ns") <= P99_SLA_NS
+                    r.param("policy") == policy
+                        && r.param("qps").parse::<u64>() == Ok(q)
+                        && !r.is_saturated()
+                        && r.get_f64("p99_ns") <= P99_SLA_NS
                 })
-                .map(|r| param(r, "nodes").parse::<u64>().expect("nodes param"))
+                .map(|r| r.param("nodes").parse::<u64>().expect("nodes param"))
                 .min();
             let users_m = q as f64 / QUERIES_PER_SEC_PER_USER / 1e6;
             policies.insert(
@@ -353,10 +362,14 @@ pub static CLUSTER_QPS: GridScenario = GridScenario {
     }),
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
-        for ((policy, nodes), group) in curves(rows) {
-            let qps: Vec<f64> = group.iter().map(|r| get_f64(r, "offered_qps")).collect();
-            let p99: Vec<f64> = group.iter().map(|r| get_f64(r, "p99_ns")).collect();
-            let achieved: Vec<f64> = group.iter().map(|r| get_f64(r, "achieved_qps")).collect();
+        let by_fleet = curves(rows, |r| {
+            let nodes = r.param("nodes").parse::<u64>().expect("nodes param");
+            (r.param("policy"), nodes)
+        });
+        for ((policy, nodes), group) in by_fleet {
+            let qps: Vec<f64> = group.iter().map(|r| r.get_f64("offered_qps")).collect();
+            let p99: Vec<f64> = group.iter().map(|r| r.get_f64("p99_ns")).collect();
+            let achieved: Vec<f64> = group.iter().map(|r| r.get_f64("achieved_qps")).collect();
             let (knee, max_stable) = stability::stability_json(&stability::serving_points(&group));
             curve_objs.insert(
                 format!("{policy}/n{nodes}"),
@@ -366,7 +379,7 @@ pub static CLUSTER_QPS: GridScenario = GridScenario {
                     "p99_ns": p99,
                     "knee_qps": knee,
                     "max_stable_qps": max_stable,
-                    "mean_fanout": group.iter().map(|r| get_f64(r, "mean_fanout")).collect::<Vec<f64>>(),
+                    "mean_fanout": group.iter().map(|r| r.get_f64("mean_fanout")).collect::<Vec<f64>>(),
                 }),
             );
         }

@@ -14,9 +14,10 @@
 //! possible at all, and it exists partly to exercise them end to end:
 //!
 //! * **Bounded memory** — the workload is never materialized. Each
-//!   point streams a seeded [`QueryStreamSpec`] through
-//!   [`run_open_loop_stream`](pifs_core::system::SlsSystem::run_open_loop_stream)-style
-//!   push sessions with completion recording off, so a minute of
+//!   point streams a seeded [`QueryStreamSpec`] through open-loop push
+//!   sessions ([`checkpoint::advance`], the loop inside
+//!   [`serve`](pifs_core::system::SlsSystem::serve)) with completion
+//!   recording off, so a minute of
 //!   traffic costs O(batch) heap, not O(trace)
 //!   (`pifs-core/tests/alloc_bounded.rs` is the guard).
 //! * **Checkpoint warm-starts** — the `duration_s` axis shares one

@@ -28,16 +28,17 @@
 //! local qids their shedder refused; `merge` replays the degraded
 //! router merge and the exact functional plane.
 
-use pifs_core::engine::cluster::{
-    merge_streamed, route_stream, ClusterConfig, ShardPlacement, ShardPolicy,
-};
-use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig};
+use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy};
+use pifs_core::system::SystemConfig;
 use serde_json::{json, Value};
-use simkit::{FaultSchedule, FaultSpec, SimTime};
+use simkit::{FaultSchedule, FaultSpec};
 use tracegen::{ArrivalProcess, QueryStreamSpec};
 
+use super::cluster::ClusterSetup;
 use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, Point, PointParts, ResultRow};
+use crate::scenario::{
+    curves, workload_seed, GridScenario, ParamSpec, Point, PointParts, ResultRow,
+};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (matches the cluster family).
@@ -86,15 +87,7 @@ const FAULT_AXIS: [&str; 6] = [
     "link:16000:8",
 ];
 
-/// Everything a point's parts and merge share, rebuilt
-/// deterministically on both sides.
-struct FaultSetup {
-    cfg: ClusterConfig,
-    spec: QueryStreamSpec,
-    placement: ShardPlacement,
-}
-
-fn setup(p: &Point) -> FaultSetup {
+fn setup(p: &Point) -> ClusterSetup {
     let m = p.model();
     let qps = p.f64("qps");
     let fault = FaultSpec::parse(p.str("fault")).unwrap_or_else(|e| panic!("param \"fault\": {e}"));
@@ -149,99 +142,22 @@ fn setup(p: &Point) -> FaultSetup {
     cfg.hot_rows_per_table = p.u64("replicas") as u32;
     cfg.faults = FaultSchedule::generate(fault, fault_seed, NODES, horizon_ns);
     cfg.partial_timeout_ns = Some(PARTIAL_TIMEOUT_NS);
-    let placement = ShardPlacement::build_streamed(&cfg, &spec.stream());
-    FaultSetup {
-        cfg,
-        spec,
-        placement,
-    }
+    ClusterSetup::new(cfg, spec)
 }
 
-/// Runs node `part` of the point's cluster: streams the shared
-/// workload through the liveness-aware router, pushing only this
-/// shard's routed sub-bags into a fresh (slowdown-scheduled, possibly
-/// shedding) node session.
+/// Runs node `part` of the point's cluster (slow-down scheduled,
+/// possibly shedding).
 fn run_node_part(p: &Point, part: usize) -> Value {
-    let s = setup(p);
-    let mut node = SlsSystem::new(s.cfg.node.clone());
-    node.set_slowdowns(s.cfg.faults.slow_intervals(part as u16));
-    node.open_loop_begin(s.spec.trace.n_tables, OpenLoopOpts::default());
-    let mut stream = s.spec.stream();
-    route_stream(
-        &s.placement,
-        &s.cfg.faults,
-        &mut stream,
-        |shard, _tenant, at, sub| {
-            if shard == part {
-                node.open_loop_push(at, sub);
-            }
-        },
-    );
-    let met = node.open_loop_finish();
-    json!({
-        "completions_ns": met.completion.iter().map(|t| t.as_ns()).collect::<Vec<u64>>(),
-        "shed_qids": met.shed_qids,
-        "queries": met.queries,
-        "shed": met.shed,
-        "makespan_ns": met.makespan_ns,
-    })
+    setup(p).run_node_part(part)
 }
 
-/// Merges the nodes' part values into the point row: replay the
-/// degraded router merge (failover, sheds, timeouts, hedges) over the
-/// completion vectors, then attach the exact functional checksum and
-/// the resilience accounting.
+/// Merges the nodes' part values into the point row: the degraded
+/// router merge (failover, sheds, timeouts, hedges), the exact
+/// functional checksum, and the resilience accounting.
 fn merge_node_parts(p: &Point, parts: Vec<Value>) -> Value {
     let s = setup(p);
-    let completions: Vec<Vec<SimTime>> = parts
-        .iter()
-        .map(|v| {
-            v.get("completions_ns")
-                .and_then(Value::as_array)
-                .expect("part carries completions_ns")
-                .iter()
-                .map(|n| SimTime::from_ns(n.as_u64().expect("ns value")))
-                .collect()
-        })
-        .collect();
-    let refs: Vec<&[SimTime]> = completions.iter().map(Vec::as_slice).collect();
-    let makespans: Vec<u64> = parts
-        .iter()
-        .map(|v| {
-            v.get("makespan_ns")
-                .and_then(Value::as_u64)
-                .expect("part carries makespan_ns")
-        })
-        .collect();
-    let mut stream = s.spec.stream();
-    let replay = stream.clone();
-    let routed = route_stream(&s.placement, &s.cfg.faults, &mut stream, |_, _, _, _| {});
-    // Nodes shed by local qid; the merge keys on global qids.
-    let sheds: Vec<Vec<u64>> = parts
-        .iter()
-        .enumerate()
-        .map(|(n, v)| {
-            v.get("shed_qids")
-                .and_then(Value::as_array)
-                .expect("part carries shed_qids")
-                .iter()
-                .map(|lq| routed.qids[n][lq.as_u64().expect("local qid") as usize])
-                .collect()
-        })
-        .collect();
-    let shed_refs: Vec<&[u64]> = sheds.iter().map(Vec::as_slice).collect();
-    let met = merge_streamed(
-        &s.cfg,
-        &s.placement,
-        &replay,
-        &routed,
-        &refs,
-        &shed_refs,
-        &makespans,
-    );
-
+    let (met, last_arrival_ns) = s.merge_node_parts(&parts);
     let qps = p.f64("qps");
-    let last_arrival_ns = routed.arrivals.last().map_or(0, |t| t.as_ns());
     let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
     json!({
         "offered_qps": qps,
@@ -277,49 +193,6 @@ fn run_faults_point(p: &Point) -> Value {
     merge_node_parts(p, (0..n).map(|i| run_node_part(p, i)).collect())
 }
 
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
-fn param(row: &ResultRow, name: &str) -> String {
-    row.params
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_else(|| panic!("row carries param {name}"))
-}
-
-fn is_saturated(row: &ResultRow) -> bool {
-    row.data.get("saturated").and_then(Value::as_bool) == Some(true)
-}
-
-/// A resilience curve's key: (fault, shed, replicas).
-type CurveKey = (String, String, u64);
-
-/// Groups rows by (fault, shed, replicas), preserving grid order
-/// (`qps` is the innermost axis, so each group is a contiguous
-/// ascending-qps chunk).
-fn curves(rows: &[ResultRow]) -> Vec<(CurveKey, Vec<&ResultRow>)> {
-    let mut out: Vec<(CurveKey, Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = (
-            param(row, "fault"),
-            param(row, "shed"),
-            param(row, "replicas")
-                .parse::<u64>()
-                .expect("replicas param"),
-        );
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
 /// The operator headline: per fault family, the highest offered rate
 /// any (shed, replicas) cell sustains — unsaturated, p99 under the
 /// SLA, availability above the bar — and what re-buying the headroom
@@ -334,16 +207,16 @@ fn stable_frontier(rows: &[ResultRow]) -> Value {
     let stable_qps = |fault: &str| -> Option<f64> {
         let points: Vec<stability::StabilityPoint> = rows
             .iter()
-            .filter(|r| param(r, "fault") == fault)
+            .filter(|r| r.param("fault") == fault)
             .map(|r| {
-                let offered = get_f64(r, "offered_qps");
+                let offered = r.get_f64("offered_qps");
                 stability::StabilityPoint {
                     stable_qps: offered,
                     offered_qps: offered,
-                    p99_ns: get_f64(r, "p99_ns"),
-                    saturated: is_saturated(r)
-                        || get_f64(r, "p99_ns") > P99_SLA_NS
-                        || get_f64(r, "availability") < AVAILABILITY_BAR,
+                    p99_ns: r.get_f64("p99_ns"),
+                    saturated: r.is_saturated()
+                        || r.get_f64("p99_ns") > P99_SLA_NS
+                        || r.get_f64("availability") < AVAILABILITY_BAR,
                 }
             })
             .collect();
@@ -397,16 +270,20 @@ pub static CLUSTER_FAULTS: GridScenario = GridScenario {
     }),
     summarize: |rows| {
         let mut curve_objs = serde_json::Map::new();
-        for ((fault, shed, replicas), group) in curves(rows) {
+        let by_cell = curves(rows, |r| {
+            let replicas = r.param("replicas").parse::<u64>().expect("replicas param");
+            (r.param("fault"), r.param("shed"), replicas)
+        });
+        for ((fault, shed, replicas), group) in by_cell {
             curve_objs.insert(
                 format!("{fault}/{shed}/r{replicas}"),
                 json!({
-                    "offered_qps": group.iter().map(|r| get_f64(r, "offered_qps")).collect::<Vec<f64>>(),
-                    "p99_ns": group.iter().map(|r| get_f64(r, "p99_ns")).collect::<Vec<f64>>(),
-                    "availability": group.iter().map(|r| get_f64(r, "availability")).collect::<Vec<f64>>(),
-                    "mean_coverage": group.iter().map(|r| get_f64(r, "mean_coverage")).collect::<Vec<f64>>(),
-                    "shed": group.iter().map(|r| get_f64(r, "shed")).collect::<Vec<f64>>(),
-                    "failovers": group.iter().map(|r| get_f64(r, "failovers")).collect::<Vec<f64>>(),
+                    "offered_qps": group.iter().map(|r| r.get_f64("offered_qps")).collect::<Vec<f64>>(),
+                    "p99_ns": group.iter().map(|r| r.get_f64("p99_ns")).collect::<Vec<f64>>(),
+                    "availability": group.iter().map(|r| r.get_f64("availability")).collect::<Vec<f64>>(),
+                    "mean_coverage": group.iter().map(|r| r.get_f64("mean_coverage")).collect::<Vec<f64>>(),
+                    "shed": group.iter().map(|r| r.get_f64("shed")).collect::<Vec<f64>>(),
+                    "failovers": group.iter().map(|r| r.get_f64("failovers")).collect::<Vec<f64>>(),
                 }),
             );
         }

@@ -3,8 +3,8 @@
 //! Every other scenario is closed-loop — it reports how long a fixed
 //! bag grid takes. This family instead timestamps queries from an
 //! arrival process ([`tracegen::arrival`]) and serves them through the
-//! [`run_open_loop`](pifs_core::system::SlsSystem::run_open_loop)
-//! batcher, reporting streaming p50/p95/p99 latency:
+//! [`serve`](pifs_core::system::SlsSystem::serve) batcher, reporting
+//! streaming p50/p95/p99 latency:
 //!
 //! * [`LATENCY_QPS`] (`latency_qps`) — the latency-vs-QPS curve per
 //!   scheme, with saturation-knee detection in the summary: p99 stays
@@ -21,12 +21,12 @@
 //!
 //! [`tracegen::arrival`]: ../../../tracegen/arrival/index.html
 
-use pifs_core::system::SlsSystem;
+use pifs_core::system::{OpenLoopOpts, SlsSystem, TraceSource};
 use serde_json::{json, Value};
 use tracegen::ArrivalProcess;
 
 use super::stability;
-use crate::scenario::{workload_seed, GridScenario, ParamSpec, ResultRow};
+use crate::scenario::{curves, workload_seed, GridScenario, ParamSpec, ResultRow};
 use crate::{scale_buffers, STD_BATCHES, STD_BATCH_SIZE};
 
 /// Queries per serving run (the standard closed-loop sample count, so
@@ -105,7 +105,10 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
     let arrivals = process.times(SERVE_QUERIES, arrival_seed);
 
     let last_arrival_ns = arrivals.last().map_or(0, |t| t.as_ns());
-    let met = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    let met = SlsSystem::new(cfg).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
     let achieved = met.achieved_qps();
     // saturated ⇔ arrival span < SATURATION_FRAC × makespan.
     let saturated = (last_arrival_ns as f64) < SATURATION_FRAC * met.makespan_ns as f64;
@@ -132,34 +135,6 @@ fn run_serving_point(p: &crate::scenario::Point) -> Value {
     })
 }
 
-/// Groups rows by every parameter except `qps`, preserving grid order
-/// (`qps` is the innermost axis, so each group is a contiguous chunk).
-fn curves(rows: &[ResultRow]) -> Vec<(String, Vec<&ResultRow>)> {
-    let mut out: Vec<(String, Vec<&ResultRow>)> = Vec::new();
-    for row in rows {
-        let key = row
-            .params
-            .iter()
-            .filter(|(n, _)| n != "qps")
-            .map(|(n, v)| format!("{n}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        match out.last_mut() {
-            Some((k, group)) if *k == key => group.push(row),
-            _ => out.push((key, vec![row])),
-        }
-    }
-    out
-}
-
-/// `data` field accessor for the latency rows.
-fn get_f64(row: &ResultRow, key: &str) -> f64 {
-    row.data
-        .get(key)
-        .and_then(Value::as_f64)
-        .unwrap_or_else(|| panic!("row carries {key}"))
-}
-
 /// Summarizes one group of rows (ascending qps) into a curve object
 /// with knee detection: the knee is the first offered rate whose row is
 /// flagged `saturated` (arrival span under [`SATURATION_FRAC`] of the
@@ -168,10 +143,10 @@ fn get_f64(row: &ResultRow, key: &str) -> f64 {
 /// (single-point or fully saturated sweeps) report honest `null`s —
 /// see [`stability`].
 fn curve_json(group: &[&ResultRow]) -> Value {
-    let qps: Vec<f64> = group.iter().map(|r| get_f64(r, "offered_qps")).collect();
-    let achieved: Vec<f64> = group.iter().map(|r| get_f64(r, "achieved_qps")).collect();
-    let p50: Vec<f64> = group.iter().map(|r| get_f64(r, "p50_ns")).collect();
-    let p99: Vec<f64> = group.iter().map(|r| get_f64(r, "p99_ns")).collect();
+    let qps: Vec<f64> = group.iter().map(|r| r.get_f64("offered_qps")).collect();
+    let achieved: Vec<f64> = group.iter().map(|r| r.get_f64("achieved_qps")).collect();
+    let p50: Vec<f64> = group.iter().map(|r| r.get_f64("p50_ns")).collect();
+    let p99: Vec<f64> = group.iter().map(|r| r.get_f64("p99_ns")).collect();
     let (knee, max_stable) = stability::stability_json(&stability::serving_points(group));
     json!({
         "offered_qps": qps,
@@ -200,7 +175,16 @@ pub static LATENCY_QPS: GridScenario = GridScenario {
     parts: None,
     summarize: |rows| {
         let mut schemes = serde_json::Map::new();
-        for (key, group) in curves(rows) {
+        // Every axis but the innermost `qps` keys a curve.
+        let by_config = curves(rows, |r| {
+            r.params
+                .iter()
+                .filter(|(n, _)| n != "qps")
+                .map(|(n, v)| format!("{n}={v}"))
+                .collect::<Vec<_>>()
+                .join(" ")
+        });
+        for (key, group) in by_config {
             let label = group[0]
                 .params
                 .iter()
@@ -237,24 +221,22 @@ pub static LATENCY_WAIT: GridScenario = GridScenario {
             .iter()
             .map(|r| {
                 json!({
-                    "batch_size": r.params.iter().find(|(n, _)| n == "batch_size")
-                        .map(|(_, v)| v.to_string()),
-                    "max_wait_us": r.params.iter().find(|(n, _)| n == "max_wait_us")
-                        .map(|(_, v)| v.to_string()),
-                    "p50_ns": get_f64(r, "p50_ns"),
-                    "p99_ns": get_f64(r, "p99_ns"),
-                    "mean_wait_ns": get_f64(r, "mean_wait_ns"),
-                    "mean_batch_fill": get_f64(r, "mean_batch_fill"),
+                    "batch_size": r.param("batch_size"),
+                    "max_wait_us": r.param("max_wait_us"),
+                    "p50_ns": r.get_f64("p50_ns"),
+                    "p99_ns": r.get_f64("p99_ns"),
+                    "mean_wait_ns": r.get_f64("mean_wait_ns"),
+                    "mean_batch_fill": r.get_f64("mean_batch_fill"),
                     "saturated": r.data.get("saturated"),
                 })
             })
             .collect();
         let best = rows
             .iter()
-            .filter(|r| r.data.get("saturated").and_then(Value::as_bool) == Some(false))
+            .filter(|r| !r.is_saturated())
             .min_by(|a, b| {
-                get_f64(a, "p99_ns")
-                    .partial_cmp(&get_f64(b, "p99_ns"))
+                a.get_f64("p99_ns")
+                    .partial_cmp(&b.get_f64("p99_ns"))
                     .expect("finite p99")
             })
             .map(ResultRow::params_json);

@@ -102,7 +102,7 @@ pub fn serving_points(group: &[&ResultRow]) -> Vec<StabilityPoint> {
                 stable_qps: f("achieved_qps"),
                 offered_qps: f("offered_qps"),
                 p99_ns: f("p99_ns"),
-                saturated: r.data.get("saturated").and_then(Value::as_bool) == Some(true),
+                saturated: r.is_saturated(),
             }
         })
         .collect()

@@ -6,7 +6,7 @@
 //! one post-knee rate):
 //!
 //! * a **1-shard cluster is byte-identical to plain
-//!   [`run_open_loop`](SlsSystem::run_open_loop)** — same latency
+//!   [`serve`](SlsSystem::serve)** — same latency
 //!   histogram, same makespan, same per-node run metrics, zero
 //!   aggregation traffic;
 //! * **k ∈ {2, 4, 8} shards produce bit-identical merged embeddings and
@@ -25,7 +25,7 @@ use pifs_bench::{meta_distribution, scale_buffers, SEED, STD_BATCHES, STD_BATCH_
 use pifs_core::engine::cluster::{
     functional_tables, merged_bag_embedding, ClusterConfig, ShardPlacement, ShardPolicy, SlsCluster,
 };
-use pifs_core::system::{SlsSystem, SystemConfig};
+use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig, TraceSource};
 use simkit::{FaultSchedule, SimTime};
 use tracegen::{ArrivalProcess, Trace};
 
@@ -71,10 +71,13 @@ const RATES: [u64; 2] = [8_000_000, 32_000_000];
 fn one_shard_cluster_is_byte_identical_to_the_node() {
     for qps in RATES {
         let (cfg, trace, arrivals) = workload(qps);
-        let plain = SlsSystem::new(cfg.clone()).run_open_loop(&trace, &arrivals);
+        let plain = SlsSystem::new(cfg.clone()).serve(
+            &mut TraceSource::new(&trace, &arrivals),
+            OpenLoopOpts::default(),
+        );
         for policy in POLICIES {
             let m = SlsCluster::new(ClusterConfig::new(1, policy, cfg.clone()))
-                .run_open_loop(&trace, &arrivals);
+                .run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
             assert_eq!(m.latency, plain.latency, "{policy:?} @ {qps}");
             assert_eq!(m.makespan_ns, plain.makespan_ns, "{policy:?} @ {qps}");
             assert_eq!(m.agg_bytes, 0);
@@ -115,7 +118,7 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
         .collect();
     // A 1-shard cluster reports exactly the reference.
     let one = SlsCluster::new(ClusterConfig::new(1, ShardPolicy::RowHash, cfg.clone()))
-        .run_open_loop(&trace, &arrivals);
+        .run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
     assert_eq!(bits(&one.query_checksums), bits(&reference));
     for policy in POLICIES {
         for k in [2u16, 4, 8] {
@@ -146,7 +149,7 @@ fn sharded_merges_are_bit_identical_for_every_shard_count() {
             // End-to-end: the full cluster run reports, bit for bit, the
             // per-query checksums it would report unsharded.
             let met = SlsCluster::new(ClusterConfig::new(k, policy, cfg.clone()))
-                .run_open_loop(&trace, &arrivals);
+                .run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
             assert_eq!(
                 bits(&met.query_checksums),
                 bits(&reference),

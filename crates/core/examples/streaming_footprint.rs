@@ -7,7 +7,7 @@
 //! cargo run --release -p pifs-core --example streaming_footprint
 //! ```
 
-use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig};
+use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig, TraceSource};
 use simkit::stats::{alloc_stats, reset_alloc_peak};
 use tracegen::{ArrivalProcess, Distribution, QueryStreamSpec, TraceSpec};
 
@@ -51,7 +51,7 @@ fn main() {
     let base = alloc_stats().live_bytes;
     reset_alloc_peak();
     let t0 = std::time::Instant::now();
-    let m = sys.run_open_loop_stream(&mut spec.stream(), opts);
+    let m = sys.serve(&mut spec.stream(), opts);
     let streamed_ms = t0.elapsed().as_secs_f64() * 1e3;
     let streamed_peak = alloc_stats().peak_live_bytes.saturating_sub(base);
     assert_eq!(m.queries, spec.n_queries());
@@ -66,7 +66,10 @@ fn main() {
     let arrivals = spec
         .arrival
         .times(spec.n_queries() as usize, spec.arrival_seed);
-    let m = sys.run_open_loop(&trace, &arrivals);
+    let m = sys.serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
     let materialized_ms = t0.elapsed().as_secs_f64() * 1e3;
     let materialized_peak = alloc_stats().peak_live_bytes.saturating_sub(base);
     assert_eq!(m.run.checksum.to_bits(), streamed_checksum.to_bits());

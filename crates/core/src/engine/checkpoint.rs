@@ -22,6 +22,7 @@
 
 use tracegen::QueryStream;
 
+use super::serving::TaggedQuerySource;
 use crate::system::SlsSystem;
 
 /// A resumable snapshot of a streaming open-loop run: the system (with
@@ -59,21 +60,23 @@ impl SimCheckpoint {
 }
 
 /// Pushes up to `n` queries from `stream` into `system`'s active
-/// open-loop session; returns how many were pushed (fewer only when
-/// the stream ran dry). The session keeps running — follow with more
-/// [`advance`] calls, a [`SimCheckpoint::capture`], or
-/// [`SlsSystem::open_loop_finish`].
+/// open-loop session, each with its tenant tag; returns how many were
+/// pushed (fewer only when the stream ran dry). The session keeps
+/// running — follow with more [`advance`] calls, a
+/// [`SimCheckpoint::capture`], or [`SlsSystem::open_loop_finish`].
+/// This is the one push loop: [`SlsSystem::serve`] is `advance` to the
+/// end between `open_loop_begin` and `open_loop_finish`.
 ///
 /// # Panics
 ///
 /// Panics if no session is active.
-pub fn advance(system: &mut SlsSystem, stream: &mut QueryStream, n: u64) -> u64 {
+pub fn advance<S: TaggedQuerySource>(system: &mut SlsSystem, stream: &mut S, n: u64) -> u64 {
     let mut pushed = 0;
     while pushed < n {
-        let Some((_, at)) = stream.next_query() else {
+        let Some((_, tenant, at)) = stream.next_tagged() else {
             break;
         };
-        system.open_loop_push(at, &*stream);
+        system.open_loop_push_tagged(at, tenant, &*stream);
         pushed += 1;
     }
     pushed

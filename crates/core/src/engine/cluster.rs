@@ -9,9 +9,9 @@
 //! sub-bags (only the rows each shard serves, in bag order) and pushes
 //! them straight into the participating nodes' streaming open-loop
 //! sessions, and [`merge_streamed`] merges the per-node results. A lazy
-//! [`QueryStream`] or [`tracegen::TenantMixStream`] is served as is; a
-//! materialized `(trace, arrivals)` pair enters through the borrowed
-//! [`TraceSource`] adapter. The merge works on two planes:
+//! [`tracegen::QueryStream`] or [`tracegen::TenantMixStream`] is served
+//! as is; a materialized `(trace, arrivals)` pair enters through the
+//! borrowed [`TraceSource`] adapter. The merge works on two planes:
 //!
 //! * **Timing plane** — a sharded query completes when its last shard's
 //!   response lands at the router: the max over participating shards of
@@ -21,7 +21,7 @@
 //!   every shard other than the query's home shard. A query served
 //!   entirely by one shard returns directly — which is why a 1-shard
 //!   cluster is *byte-identical* to plain
-//!   [`run_open_loop`](SlsSystem::run_open_loop).
+//!   [`serve`](SlsSystem::serve).
 //! * **Functional plane** — per-shard partial sums are folded in f64
 //!   ([`dlrm::sls::accumulate_row_exact`]) over each shard's owned rows
 //!   in bag order and merged in **fixed shard-index order**. Because
@@ -80,11 +80,12 @@ use dlrm::EmbeddingTable;
 use pagemgmt::{HotnessTracker, PageId};
 use simkit::faults::FaultSchedule;
 use simkit::{LatencyHist, SimDuration, SimTime};
-use tracegen::{QueryStream, Trace};
 
 use super::config::SystemConfig;
 use super::serving::{OpenLoopOpts, ServingMetrics, TenantServing};
 use crate::system::SlsSystem;
+
+pub use super::serving::{TaggedQuerySource, TraceSource};
 
 /// How embedding rows map to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -496,32 +497,6 @@ impl SlsCluster {
         &self.cfg
     }
 
-    /// Serves `trace` open-loop across the cluster: query `q` is sample
-    /// `q % batch_size` of batch `q / batch_size`, arriving at
-    /// `arrivals[q]` — the cluster form of
-    /// [`SlsSystem::run_open_loop`]. Checks the node bounds, then serves
-    /// the pair as a [`TraceSource`] through
-    /// [`Self::run_open_loop_streamed`], the one routing/merge pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrivals` is unsorted or longer than the trace's
-    /// sample capacity, or if the trace exceeds the node model (as
-    /// [`SlsSystem::run_open_loop`] would).
-    pub fn run_open_loop(&mut self, trace: &Trace, arrivals: &[SimTime]) -> ClusterMetrics {
-        let mut source = TraceSource::new(trace, arrivals);
-        let model = &self.cfg.node.model;
-        assert!(
-            trace.n_tables <= model.n_tables,
-            "trace has more tables than the model"
-        );
-        assert!(
-            trace.rows_per_table <= model.emb_num,
-            "trace rows exceed the model's embedding count"
-        );
-        self.run_open_loop_streamed(&mut source)
-    }
-
     /// Serves a lazy query source across the cluster with bounded
     /// routing memory: build the placement
     /// ([`ShardPlacement::build_streamed`]), route each query
@@ -840,108 +815,6 @@ pub struct RoutedStream {
     pub tenants: Vec<u16>,
 }
 
-/// A routable tagged query source: what the cluster router and the
-/// functional-checksum replay need from a lazy stream. Single-tenant
-/// [`QueryStream`]s tag every query tenant 0; a
-/// [`tracegen::TenantMixStream`] carries its own tags.
-pub trait TaggedQuerySource: Clone {
-    /// Advances to the next query, returning `(qid, tenant, arrival)`.
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)>;
-    /// The current query's bag for `table` (valid until the next
-    /// [`Self::next_tagged`]).
-    fn bag(&self, table: u32) -> &[u64];
-    /// Tables per query.
-    fn n_tables(&self) -> u32;
-    /// Queries emitted so far.
-    fn position(&self) -> u64;
-}
-
-impl TaggedQuerySource for QueryStream {
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
-        self.next_query().map(|(qid, at)| (qid, 0, at))
-    }
-    fn bag(&self, table: u32) -> &[u64] {
-        QueryStream::bag(self, table)
-    }
-    fn n_tables(&self) -> u32 {
-        QueryStream::n_tables(self)
-    }
-    fn position(&self) -> u64 {
-        QueryStream::position(self)
-    }
-}
-
-impl TaggedQuerySource for tracegen::TenantMixStream {
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
-        self.next_query()
-    }
-    fn bag(&self, table: u32) -> &[u64] {
-        tracegen::TenantMixStream::bag(self, table)
-    }
-    fn n_tables(&self) -> u32 {
-        tracegen::TenantMixStream::n_tables(self)
-    }
-    fn position(&self) -> u64 {
-        tracegen::TenantMixStream::position(self)
-    }
-}
-
-/// A materialized `(trace, arrivals)` workload as a [`TaggedQuerySource`]:
-/// query `q` is sample `q % batch_size` of batch `q / batch_size`,
-/// arriving at `arrivals[q]`, tenant 0 — the layout
-/// [`SlsSystem::run_open_loop`] serves. Borrows both; cloning is free.
-#[derive(Debug, Clone)]
-pub struct TraceSource<'a> {
-    trace: &'a Trace,
-    arrivals: &'a [SimTime],
-    /// Queries emitted so far (the current query is `next - 1`).
-    next: usize,
-}
-
-impl<'a> TraceSource<'a> {
-    /// A source at position 0 over `trace` and `arrivals`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrivals` holds more queries than the trace has
-    /// samples, or is not sorted non-decreasing.
-    pub fn new(trace: &'a Trace, arrivals: &'a [SimTime]) -> Self {
-        let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
-        assert!(
-            arrivals.len() as u64 <= capacity,
-            "arrival stream has more queries than the trace has samples"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "arrival timestamps must be sorted non-decreasing"
-        );
-        TraceSource {
-            trace,
-            arrivals,
-            next: 0,
-        }
-    }
-}
-
-impl TaggedQuerySource for TraceSource<'_> {
-    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
-        let at = *self.arrivals.get(self.next)?;
-        self.next += 1;
-        Some((self.next as u64 - 1, 0, at))
-    }
-    fn bag(&self, table: u32) -> &[u64] {
-        let q = self.next.checked_sub(1).expect("no current query");
-        let bs = self.trace.batch_size as usize;
-        self.trace.bag(q / bs, table, (q % bs) as u32)
-    }
-    fn n_tables(&self) -> u32 {
-        self.trace.n_tables
-    }
-    fn position(&self) -> u64 {
-        self.next as u64
-    }
-}
-
 /// Consumes `stream`, routing each query's bags across the placement's
 /// shards: every shard receives, per table, exactly the rows it
 /// serves, in bag order, and a query reaches only the shards serving
@@ -1125,6 +998,7 @@ pub fn merge_streamed<S: TaggedQuerySource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tracegen::Trace;
 
     fn placement(k: u16, policy: ShardPolicy) -> ShardPlacement {
         ShardPlacement {

@@ -121,9 +121,10 @@ pub struct SystemConfig {
     pub threading: ThreadingMode,
     /// Fabric latency/bandwidth parameters.
     pub cxl: CxlParams,
-    /// Open-loop serving batcher knobs (only
-    /// [`run_open_loop`](crate::system::SlsSystem::run_open_loop) reads
-    /// them; closed-loop traces ignore this field).
+    /// Open-loop serving batcher knobs (only the open-loop session —
+    /// [`serve`](crate::system::SlsSystem::serve) and
+    /// [`open_loop_begin`](crate::system::SlsSystem::open_loop_begin) —
+    /// reads them; closed-loop traces ignore this field).
     pub serving: ServingConfig,
     /// Batches excluded from measurement: they run first to warm the
     /// page placement, buffers and hotness state, modeling a system

@@ -42,7 +42,7 @@ pub(crate) const DECODE_NS: u64 = 1;
 
 /// The one per-system scratch bundle: the per-bag pipeline buffers
 /// ([`BagScratch`], including the SoA [`BagBatch`] gather arena) and the
-/// open-loop serving dispatcher's per-run buffers
+/// per-batch buffers
 /// ([`ServingScratch`](super::serving::ServingScratch)). Both run modes
 /// share this single allocation-free scratch convention — any new
 /// reusable buffer, per-bag or per-batch, belongs here.
@@ -50,7 +50,7 @@ pub(crate) const DECODE_NS: u64 = 1;
 pub(crate) struct EngineScratch {
     /// Per-bag pipeline buffers.
     pub bag: BagScratch,
-    /// Open-loop serving dispatch buffers.
+    /// Per-batch buffers (completion times, partition memo).
     pub serving: super::serving::ServingScratch,
 }
 

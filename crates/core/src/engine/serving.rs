@@ -27,6 +27,7 @@
 use std::collections::VecDeque;
 
 use simkit::{LatencyHist, SimDuration, SimTime};
+use tracegen::{QueryStream, TenantMixStream, Trace};
 
 use super::controller::{ControllerPolicy, ServingController};
 use super::metrics::{CounterOffsets, RunMetrics};
@@ -153,9 +154,9 @@ pub struct ReadyBatch {
     pub close: SimTime,
 }
 
-/// Reusable buffers for the open-loop dispatch path — the serving-side
-/// member of the unified scratch convention ([`EngineScratch`]): the
-/// per-query completion times of the batch being dispatched and the
+/// Reusable per-batch buffers — the batch-level member of the unified
+/// scratch convention ([`EngineScratch`]): the per-query completion
+/// times of the batch being run (closed or open loop) and the open-loop
 /// work-partition memo keep their capacity across batches and runs,
 /// mirroring what [`BagScratch`](super::pipeline::BagScratch) does for
 /// the per-bag path.
@@ -163,7 +164,7 @@ pub struct ReadyBatch {
 /// [`EngineScratch`]: super::pipeline::EngineScratch
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ServingScratch {
-    /// Per-query completion time of the batch being dispatched.
+    /// Per-query completion time of the batch being run.
     pub q_done: Vec<SimTime>,
     /// Work-partition memo keyed by batch size. Reset at the start of
     /// every session: the layout also bakes in the stream's table count.
@@ -358,9 +359,9 @@ impl ServingMetrics {
 ///
 /// The streaming entry points ([`SlsSystem::open_loop_push`]) take the
 /// query's lookups through this trait so the same dispatch path serves
-/// a materialized [`tracegen::Trace`], a lazy
-/// [`tracegen::QueryStream`], and the cluster router's recycled
-/// per-shard sub-bag buffers.
+/// every [`TaggedQuerySource`] (a materialized [`TraceSource`], a lazy
+/// [`QueryStream`], a [`TenantMixStream`]) and the cluster router's
+/// recycled per-shard sub-bag buffers.
 ///
 /// [`SlsSystem::open_loop_push`]: crate::system::SlsSystem::open_loop_push
 pub trait QueryBags {
@@ -369,15 +370,10 @@ pub trait QueryBags {
     fn bag(&self, table: u32) -> &[u64];
 }
 
-impl QueryBags for tracegen::QueryStream {
+/// A source's current query.
+impl<S: TaggedQuerySource> QueryBags for S {
     fn bag(&self, table: u32) -> &[u64] {
-        tracegen::QueryStream::bag(self, table)
-    }
-}
-
-impl QueryBags for tracegen::TenantMixStream {
-    fn bag(&self, table: u32) -> &[u64] {
-        tracegen::TenantMixStream::bag(self, table)
+        TaggedQuerySource::bag(self, table)
     }
 }
 
@@ -386,6 +382,109 @@ impl QueryBags for tracegen::TenantMixStream {
 impl QueryBags for [Vec<u64>] {
     fn bag(&self, table: u32) -> &[u64] {
         &self[table as usize]
+    }
+}
+
+/// A tagged query source: what [`SlsSystem::serve`], the cluster
+/// router and the functional-checksum replay pull queries from.
+/// Single-tenant [`QueryStream`]s and [`TraceSource`]s tag every query
+/// tenant 0; a [`TenantMixStream`] carries its own tags.
+///
+/// [`SlsSystem::serve`]: crate::system::SlsSystem::serve
+pub trait TaggedQuerySource: Clone {
+    /// Advances to the next query, returning `(qid, tenant, arrival)`.
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)>;
+    /// The current query's bag for `table` (valid until the next
+    /// [`Self::next_tagged`]).
+    fn bag(&self, table: u32) -> &[u64];
+    /// Tables per query.
+    fn n_tables(&self) -> u32;
+    /// Queries emitted so far.
+    fn position(&self) -> u64;
+}
+
+impl TaggedQuerySource for QueryStream {
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
+        self.next_query().map(|(qid, at)| (qid, 0, at))
+    }
+    fn bag(&self, table: u32) -> &[u64] {
+        QueryStream::bag(self, table)
+    }
+    fn n_tables(&self) -> u32 {
+        QueryStream::n_tables(self)
+    }
+    fn position(&self) -> u64 {
+        QueryStream::position(self)
+    }
+}
+
+impl TaggedQuerySource for TenantMixStream {
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
+        self.next_query()
+    }
+    fn bag(&self, table: u32) -> &[u64] {
+        TenantMixStream::bag(self, table)
+    }
+    fn n_tables(&self) -> u32 {
+        TenantMixStream::n_tables(self)
+    }
+    fn position(&self) -> u64 {
+        TenantMixStream::position(self)
+    }
+}
+
+/// A materialized `(trace, arrivals)` workload as a [`TaggedQuerySource`]:
+/// query `q` is sample `q % batch_size` of batch `q / batch_size`,
+/// arriving at `arrivals[q]`, tenant 0. Borrows both; cloning is free.
+#[derive(Debug, Clone)]
+pub struct TraceSource<'a> {
+    trace: &'a Trace,
+    arrivals: &'a [SimTime],
+    /// Queries emitted so far (the current query is `next - 1`).
+    next: usize,
+}
+
+impl<'a> TraceSource<'a> {
+    /// A source at position 0 over `trace` and `arrivals`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` holds more queries than the trace has
+    /// samples, or is not sorted non-decreasing.
+    pub fn new(trace: &'a Trace, arrivals: &'a [SimTime]) -> Self {
+        let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
+        assert!(
+            arrivals.len() as u64 <= capacity,
+            "arrival stream has more queries than the trace has samples"
+        );
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrival timestamps must be sorted non-decreasing"
+        );
+        TraceSource {
+            trace,
+            arrivals,
+            next: 0,
+        }
+    }
+}
+
+impl TaggedQuerySource for TraceSource<'_> {
+    fn next_tagged(&mut self) -> Option<(u64, u16, SimTime)> {
+        let at = *self.arrivals.get(self.next)?;
+        self.next += 1;
+        Some((self.next as u64 - 1, 0, at))
+    }
+    fn bag(&self, table: u32) -> &[u64] {
+        let q = self.next.checked_sub(1).expect("no current query");
+        let bs = self.trace.batch_size as usize;
+        self.trace.bag(q / bs, table, (q % bs) as u32)
+    }
+    fn n_tables(&self) -> u32 {
+        self.trace.n_tables
+    }
+    fn position(&self) -> u64 {
+        self.next as u64
     }
 }
 
@@ -530,11 +629,10 @@ impl LatencyWindows {
 /// The state of one in-progress streaming open-loop run, between
 /// [`SlsSystem::open_loop_begin`] and [`SlsSystem::open_loop_finish`].
 ///
-/// Holds everything `run_open_loop`'s two-phase implementation kept on
-/// the stack — the batcher, the accumulating metrics, the counter
-/// snapshots, and the warm-start time base — plus a bounded store of
-/// the pending (not yet dispatched) queries' bags: at most
-/// `batch_size` queries × `n_tables` bags, recycled at every dispatch.
+/// Holds the batcher, the accumulating metrics, the counter snapshots,
+/// and the warm-start time base, plus a bounded store of the pending
+/// (not yet dispatched) queries' bags: at most `batch_size` queries ×
+/// `n_tables` bags, recycled at every dispatch.
 /// `Clone` is the checkpoint primitive: a cloned session (inside a
 /// cloned [`SlsSystem`](crate::system::SlsSystem)) resumes
 /// byte-identically.

@@ -21,8 +21,9 @@
 use dlrm::{query, EmbeddingTable};
 use pagemgmt::{GlobalHotness, PageId, PageTable, TierCapacities};
 use simkit::{SimDuration, SimTime};
-use tracegen::{QueryStream, Trace};
+use tracegen::Trace;
 
+use crate::engine::checkpoint;
 use crate::engine::config::page_align;
 use crate::engine::metrics::CounterOffsets;
 use crate::engine::pagemgmt_epoch::{run_pm_epoch, EpochCtx};
@@ -35,24 +36,8 @@ pub use crate::engine::controller::{ControllerPolicy, ServingController};
 pub use crate::engine::metrics::RunMetrics;
 pub use crate::engine::serving::{
     OpenLoopOpts, PendingQuery, QueryBags, ServingConfig, ServingMetrics, ShedPolicy,
-    TenantServing, WindowSummary,
+    TaggedQuerySource, TenantServing, TraceSource, WindowSummary,
 };
-
-/// One materialized trace query viewed through [`QueryBags`]: query
-/// `qid`'s bag in `table` is sample `qid % batch_size` of trace batch
-/// `qid / batch_size` — exactly [`SlsSystem::run_open_loop`]'s mapping.
-struct TraceQueryBags<'a> {
-    trace: &'a Trace,
-    qid: u64,
-}
-
-impl QueryBags for TraceQueryBags<'_> {
-    fn bag(&self, table: u32) -> &[u64] {
-        let b = (self.qid / self.trace.batch_size as u64) as usize;
-        let s = (self.qid % self.trace.batch_size as u64) as u32;
-        self.trace.bag(b, table, s)
-    }
-}
 
 /// The composed system: the hardware `Plant`, the embedding layout and
 /// page placement, and the workload-visible run state.
@@ -211,35 +196,20 @@ impl SlsSystem {
             self.cfg.cores_per_host,
             self.cfg.threading,
         );
+        let mut q_done = std::mem::take(&mut self.scratch.serving.q_done);
+        q_done.resize(trace.batch_size as usize, SimTime::ZERO);
 
-        for (bi, _batch) in trace.batches.iter().enumerate() {
+        for bi in 0..trace.batches.len() {
             let host_idx = bi % self.cfg.n_hosts as usize;
             let batch_start = self.plant.hosts[host_idx].next_free;
-            let mut batch_done = batch_start;
-
-            for (core_idx, items) in parts.iter().enumerate() {
-                self.plant.hosts[host_idx].cores[core_idx] = batch_start;
-                for item in items {
-                    for sample in item.sample_begin..item.sample_end {
-                        let bag = trace.bag(bi, item.table, sample);
-                        let issue = self.plant.hosts[host_idx].cores[core_idx];
-                        let mut scratch = std::mem::take(&mut self.scratch.bag);
-                        let (done, core_free) = process_bag(
-                            &mut self.engine_ctx(),
-                            &mut scratch,
-                            host_idx,
-                            issue,
-                            item.table,
-                            bag,
-                        );
-                        self.scratch.bag = scratch;
-                        self.plant.hosts[host_idx].cores[core_idx] = core_free;
-                        batch_done = batch_done.max(done);
-                        bag_latency_sum += done.saturating_since(issue).as_ns() as u128;
-                        self.metrics.bags += 1;
-                    }
-                }
-            }
+            let (mut batch_done, latency_sum) = self.run_batch(
+                host_idx,
+                batch_start,
+                &parts,
+                |sample, table| trace.bag(bi, table, sample),
+                &mut q_done,
+            );
+            bag_latency_sum += latency_sum;
 
             // Page-management epoch at the batch boundary.
             if self.cfg.page_mgmt.is_some() {
@@ -257,6 +227,7 @@ impl SlsSystem {
                 counter_offsets = self.snapshot_counters(&mut dev_offset);
             }
         }
+        self.scratch.serving.q_done = q_done;
 
         self.metrics.total_ns = self
             .plant
@@ -282,65 +253,39 @@ impl SlsSystem {
         self.metrics.clone()
     }
 
-    /// Serves `trace`'s samples open-loop: query `q` (the `q`-th entry
-    /// of `arrivals`) is sample `q % batch_size` of trace batch
-    /// `q / batch_size`, enqueued at `arrivals[q]` — timestamps are
+    /// Serves `source` open-loop end to end: opens a session over its
+    /// tables with `opts` ([`Self::open_loop_begin`]), pushes every query
+    /// with its tenant tag ([`checkpoint::advance`]), and closes the
+    /// session ([`Self::open_loop_finish`]). Arrival timestamps are
     /// relative to the run's start (on a warm system the stream is
     /// shifted past everything already simulated). The configured
     /// [`ServingConfig`] batcher closes dynamic batches (fill or
     /// max-wait), each dispatched to the stage pipeline when its host
     /// frees up, and per-query enqueue→completion latency streams into
-    /// [`ServingMetrics::latency`].
+    /// [`ServingMetrics::latency`] and [`ServingMetrics::per_tenant`].
+    /// Memory is bounded by one batch of pending bags plus what `opts`
+    /// records. A materialized workload is served as
+    /// `serve(&mut TraceSource::new(&trace, &arrivals), opts)`.
     ///
     /// Warmup is an arrival-stream concern here (closed-loop
     /// `warmup_batches` does not apply): the whole run is measured.
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals` is not sorted non-decreasing, if it holds
-    /// more queries than the trace has samples, or if the trace exceeds
-    /// the model (as in [`Self::run_trace`]).
-    pub fn run_open_loop(&mut self, trace: &Trace, arrivals: &[SimTime]) -> ServingMetrics {
-        assert!(
-            trace.n_tables <= self.cfg.model.n_tables,
-            "trace has more tables than the model"
-        );
-        assert!(
-            trace.rows_per_table <= self.cfg.model.emb_num,
-            "trace rows exceed the model's embedding count"
-        );
-        let capacity = trace.batches.len() as u64 * trace.batch_size as u64;
-        assert!(
-            arrivals.len() as u64 <= capacity,
-            "arrival stream has more queries than the trace has samples"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "arrival timestamps must be sorted non-decreasing"
-        );
-
-        // The materialized path is a thin client of the streaming
-        // session: push every (arrival, bags) pair in timestamp order
-        // and finish. Batch formation depends only on the timestamps
-        // and the batcher knobs, and dispatch consumes batches in
-        // formation order with a time base fixed at `begin`, so
-        // interleaving them is observably identical to the original
-        // two-phase (form-all-then-dispatch-all) implementation.
-        self.open_loop_begin(trace.n_tables, OpenLoopOpts::default());
-        for (qid, &t) in arrivals.iter().enumerate() {
-            self.open_loop_push(
-                t,
-                &TraceQueryBags {
-                    trace,
-                    qid: qid as u64,
-                },
-            );
-        }
+    /// Panics as [`Self::open_loop_begin`] does, or if a served row lies
+    /// outside the model's embedding tables.
+    pub fn serve<S: TaggedQuerySource>(
+        &mut self,
+        source: &mut S,
+        opts: OpenLoopOpts,
+    ) -> ServingMetrics {
+        self.open_loop_begin(source.n_tables(), opts);
+        checkpoint::advance(self, source, u64::MAX);
         self.open_loop_finish()
     }
 
     /// Opens a streaming open-loop session: the push-based form of
-    /// [`Self::run_open_loop`] for workloads that never materialize.
+    /// [`Self::serve`] for callers that drive the pushes themselves.
     /// Queries enter one at a time via [`Self::open_loop_push`] (each
     /// carrying `n_tables` bags) and the session dispatches batches as
     /// the batcher closes them, holding at most one batch of pending
@@ -560,75 +505,19 @@ impl SlsSystem {
         serving
     }
 
-    /// Serves a lazy [`QueryStream`] end to end: the streaming
-    /// equivalent of [`Self::run_open_loop`] on the stream's
-    /// materialized trace and arrival vector, byte-identical in every
-    /// metric, with memory bounded by one batch of pending bags instead
-    /// of the whole trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Self::open_loop_begin`] does, or if the stream's row
-    /// space exceeds the model's.
-    pub fn run_open_loop_stream(
-        &mut self,
-        stream: &mut QueryStream,
-        opts: OpenLoopOpts,
-    ) -> ServingMetrics {
-        assert!(
-            stream.spec().trace.rows_per_table <= self.cfg.model.emb_num,
-            "stream rows exceed the model's embedding count"
-        );
-        self.open_loop_begin(stream.n_tables(), opts);
-        while let Some((_, at)) = stream.next_query() {
-            self.open_loop_push(at, &*stream);
-        }
-        self.open_loop_finish()
-    }
-
-    /// Serves a multi-tenant [`tracegen::TenantMixStream`] end to end:
-    /// queries enter in the mix's global arrival order, each tagged with
-    /// its tenant, so [`ServingMetrics::per_tenant`] splits the run by
-    /// tenant while the aggregates cover the whole mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Self::open_loop_begin`] does, or if any tenant's row
-    /// space exceeds the model's.
-    pub fn run_open_loop_mix(
-        &mut self,
-        mix: &mut tracegen::TenantMixStream,
-        opts: OpenLoopOpts,
-    ) -> ServingMetrics {
-        for t in mix.specs() {
-            assert!(
-                t.stream.trace.rows_per_table <= self.cfg.model.emb_num,
-                "tenant {:?} rows exceed the model's embedding count",
-                t.name
-            );
-        }
-        self.open_loop_begin(mix.n_tables(), opts);
-        while let Some((_, tenant, at)) = mix.next_query() {
-            self.open_loop_push_tagged(at, tenant, &*mix);
-        }
-        self.open_loop_finish()
-    }
-
-    /// Dispatches one closed batch to the stage pipeline — the body of
-    /// `run_open_loop`'s original per-batch loop, fed from the
-    /// session's pending store instead of a materialized trace.
-    /// Batches run in close order, round-robin over hosts, each
-    /// starting when both the batch has closed and its host is free;
-    /// the pipeline timing path is exactly `run_trace`'s. The pending
-    /// store is recycled (cleared, capacity kept) on return: the
-    /// batcher drains *all* pending queries into every batch it closes,
-    /// so the store and the batch always cover the same queries.
+    /// Dispatches one closed batch to the stage pipeline, fed from the
+    /// session's pending store. Batches run in close order, round-robin
+    /// over hosts, each starting when both the batch has closed and its
+    /// host is free; the bags run through [`Self::run_batch`], as
+    /// closed-loop batches do. The pending store is recycled (cleared,
+    /// capacity kept) on return: the batcher drains *all* pending
+    /// queries into every batch it closes, so the store and the batch
+    /// always cover the same queries.
     fn dispatch_batch(&mut self, s: &mut OpenLoopSession, batch: &ReadyBatch) {
         let bi = s.batches_dispatched as usize;
         s.batches_dispatched += 1;
         let host_idx = bi % self.cfg.n_hosts as usize;
         let start = (batch.close + s.shift).max(self.plant.hosts[host_idx].next_free);
-        let mut batch_done = start;
         let n = batch.queries.len() as u32;
         debug_assert_eq!(
             s.offsets.len(),
@@ -645,33 +534,19 @@ impl SlsSystem {
             ));
         }
         let parts = &sv.parts_memo.as_ref().expect("memo just filled").1;
-        sv.q_done.clear();
         sv.q_done.resize(batch.queries.len(), start);
-        for (core_idx, items) in parts.iter().enumerate() {
-            self.plant.hosts[host_idx].cores[core_idx] = start;
-            for item in items {
-                for sample in item.sample_begin..item.sample_end {
-                    let p = sample as usize * s.n_tables as usize + item.table as usize;
-                    let bag = &s.rows[s.offsets[p]..s.offsets[p + 1]];
-                    let issue = self.plant.hosts[host_idx].cores[core_idx];
-                    let mut scratch = std::mem::take(&mut self.scratch.bag);
-                    let (done, core_free) = process_bag(
-                        &mut self.engine_ctx(),
-                        &mut scratch,
-                        host_idx,
-                        issue,
-                        item.table,
-                        bag,
-                    );
-                    self.scratch.bag = scratch;
-                    self.plant.hosts[host_idx].cores[core_idx] = core_free;
-                    batch_done = batch_done.max(done);
-                    sv.q_done[sample as usize] = sv.q_done[sample as usize].max(done);
-                    s.bag_latency_sum += done.saturating_since(issue).as_ns() as u128;
-                    self.metrics.bags += 1;
-                }
-            }
-        }
+        let (rows, offsets, n_tables) = (&s.rows, &s.offsets, s.n_tables as usize);
+        let (mut batch_done, latency_sum) = self.run_batch(
+            host_idx,
+            start,
+            parts,
+            |sample, table| {
+                let p = sample as usize * n_tables + table as usize;
+                &rows[offsets[p]..offsets[p + 1]]
+            },
+            &mut sv.q_done,
+        );
+        s.bag_latency_sum += latency_sum;
         // A query completes when its last bag does; the response leaves
         // before the epoch-boundary page manager runs. Query ids are
         // push-sequential and batches dispatch in formation order, so
@@ -757,6 +632,52 @@ impl SlsSystem {
         s.offsets.push(0);
         s.tenants.clear();
         self.scratch.serving = sv;
+    }
+
+    /// Runs one batch's bags on host `host_idx`: every core starts at
+    /// `start` and works through its share of `parts`, issuing bag
+    /// `bag(sample, table)` when the core frees up. `q_done` (one slot
+    /// per sample) is reset to `start` and raised to each sample's last
+    /// bag completion. Returns the batch's completion — its last bag,
+    /// before any page-management epoch — and the sum of the bags'
+    /// issue→completion latencies. Closed-loop ([`Self::run_trace`])
+    /// and open-loop ([`Self::dispatch_batch`]) batches both run here,
+    /// so the two timing paths are the same by construction.
+    fn run_batch<'a>(
+        &mut self,
+        host_idx: usize,
+        start: SimTime,
+        parts: &[Vec<query::WorkItem>],
+        bag: impl Fn(u32, u32) -> &'a [u64],
+        q_done: &mut [SimTime],
+    ) -> (SimTime, u128) {
+        q_done.fill(start);
+        let mut batch_done = start;
+        let mut latency_sum = 0u128;
+        for (core_idx, items) in parts.iter().enumerate() {
+            self.plant.hosts[host_idx].cores[core_idx] = start;
+            for item in items {
+                for sample in item.sample_begin..item.sample_end {
+                    let issue = self.plant.hosts[host_idx].cores[core_idx];
+                    let mut scratch = std::mem::take(&mut self.scratch.bag);
+                    let (done, core_free) = process_bag(
+                        &mut self.engine_ctx(),
+                        &mut scratch,
+                        host_idx,
+                        issue,
+                        item.table,
+                        bag(sample, item.table),
+                    );
+                    self.scratch.bag = scratch;
+                    self.plant.hosts[host_idx].cores[core_idx] = core_free;
+                    batch_done = batch_done.max(done);
+                    q_done[sample as usize] = q_done[sample as usize].max(done);
+                    latency_sum += done.saturating_since(issue).as_ns() as u128;
+                    self.metrics.bags += 1;
+                }
+            }
+        }
+        (batch_done, latency_sum)
     }
 
     /// Records current cumulative counters so the measured window can

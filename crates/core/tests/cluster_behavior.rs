@@ -6,9 +6,9 @@
 
 use dlrm::ModelConfig;
 use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
-use pifs_core::system::{SlsSystem, SystemConfig};
+use pifs_core::system::{OpenLoopOpts, SlsSystem, SystemConfig, TraceSource};
 use simkit::SimTime;
-use tracegen::{ArrivalProcess, Distribution, Trace, TraceSpec};
+use tracegen::{ArrivalProcess, Distribution, QueryStreamSpec, Trace, TraceSpec};
 
 fn small_model() -> ModelConfig {
     ModelConfig {
@@ -41,7 +41,7 @@ fn cluster_cfg(k: u16, policy: ShardPolicy) -> ClusterConfig {
 fn serve_cluster(cfg: ClusterConfig, qps: f64, n: u32) -> ClusterMetrics {
     let trace = trace_for(&cfg.node.model.clone(), n);
     let arrivals = ArrivalProcess::Poisson { qps }.times(n as usize, 77);
-    SlsCluster::new(cfg).run_open_loop(&trace, &arrivals)
+    SlsCluster::new(cfg).run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals))
 }
 
 #[test]
@@ -54,10 +54,13 @@ fn one_shard_cluster_is_byte_identical_to_plain_serving() {
     let trace = trace_for(&node_cfg.model.clone(), n);
     let arrivals = ArrivalProcess::Poisson { qps }.times(n as usize, 77);
 
-    let plain = SlsSystem::new(node_cfg.clone()).run_open_loop(&trace, &arrivals);
+    let plain = SlsSystem::new(node_cfg.clone()).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
     for policy in [ShardPolicy::RowHash, ShardPolicy::TablePartition] {
         let m = SlsCluster::new(ClusterConfig::new(1, policy, node_cfg.clone()))
-            .run_open_loop(&trace, &arrivals);
+            .run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
         assert_eq!(m.latency, plain.latency, "{policy:?}");
         assert_eq!(m.makespan_ns, plain.makespan_ns, "{policy:?}");
         assert_eq!(m.queries, plain.queries);
@@ -202,7 +205,29 @@ fn cluster_arrival_overrun_rejected() {
     let cfg = cluster_cfg(2, ShardPolicy::RowHash);
     let trace = trace_for(&cfg.node.model.clone(), 16);
     let arrivals = vec![SimTime::ZERO; 17];
-    let _ = SlsCluster::new(cfg).run_open_loop(&trace, &arrivals);
+    let _ = SlsCluster::new(cfg).run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn cluster_rejects_rows_wider_than_the_node_model() {
+    // Rows far past the node model's 4096-row tables: the nodes'
+    // per-row bound check rejects them while serving.
+    let spec = QueryStreamSpec {
+        trace: TraceSpec {
+            distribution: Distribution::Random,
+            n_tables: small_model().n_tables,
+            rows_per_table: 1 << 30,
+            batch_size: 16,
+            n_batches: 1,
+            bag_size: 4,
+            seed: 5,
+        },
+        arrival: ArrivalProcess::Poisson { qps: 50_000.0 },
+        arrival_seed: 77,
+    };
+    let cfg = cluster_cfg(2, ShardPolicy::RowHash);
+    let _ = SlsCluster::new(cfg).run_open_loop_streamed(&mut spec.stream());
 }
 
 #[test]
@@ -211,5 +236,5 @@ fn cluster_unsorted_arrivals_rejected() {
     let cfg = cluster_cfg(2, ShardPolicy::RowHash);
     let trace = trace_for(&cfg.node.model.clone(), 16);
     let arrivals = vec![SimTime::from_ns(10), SimTime::ZERO];
-    let _ = SlsCluster::new(cfg).run_open_loop(&trace, &arrivals);
+    let _ = SlsCluster::new(cfg).run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
 }

@@ -8,7 +8,7 @@
 
 use dlrm::ModelConfig;
 use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
-use pifs_core::system::{ShedPolicy, SystemConfig};
+use pifs_core::system::{ShedPolicy, SystemConfig, TraceSource};
 use proptest::prelude::*;
 use simkit::{FaultSchedule, FaultSpec};
 use tracegen::{ArrivalProcess, Distribution, QueryStreamSpec, TraceSpec};
@@ -58,7 +58,7 @@ fn run_materialized(cfg: &ClusterConfig, spec: &QueryStreamSpec) -> ClusterMetri
     let arrivals = spec
         .arrival
         .times(spec.n_queries() as usize, spec.arrival_seed);
-    SlsCluster::new(cfg.clone()).run_open_loop(&trace, &arrivals)
+    SlsCluster::new(cfg.clone()).run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals))
 }
 
 fn run_streamed(cfg: &ClusterConfig, spec: &QueryStreamSpec) -> ClusterMetrics {

@@ -4,7 +4,7 @@
 //! the property that makes adaptive goldens possible at all.
 
 use dlrm::ModelConfig;
-use pifs_core::system::{ServingMetrics, SlsSystem, SystemConfig};
+use pifs_core::system::{OpenLoopOpts, ServingMetrics, SlsSystem, SystemConfig, TraceSource};
 use proptest::prelude::*;
 use tracegen::{ArrivalProcess, Distribution, Trace, TraceSpec};
 
@@ -40,7 +40,10 @@ fn serve(controller: &str, arrival: &ArrivalProcess, n: u32) -> ServingMetrics {
     cfg.apply_knob("serving.controller", controller).unwrap();
     let trace = trace_for(&cfg.model.clone(), n);
     let arrivals = arrival.times(n as usize, 77);
-    SlsSystem::new(cfg).run_open_loop(&trace, &arrivals)
+    SlsSystem::new(cfg).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    )
 }
 
 proptest! {
@@ -110,7 +113,10 @@ fn fixed_spelling_is_byte_identical_to_the_default_config() {
     cfg.apply_knob("serving.max_wait_us", "10").unwrap();
     let trace = trace_for(&cfg.model.clone(), 256);
     let arrivals = arrival.times(256, 77);
-    let default = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    let default = SlsSystem::new(cfg).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
     assert_eq!(explicit.latency, default.latency);
     assert_eq!(explicit.makespan_ns, default.makespan_ns);
     assert_eq!(explicit.batches, default.batches);

@@ -3,9 +3,14 @@
 //! knobs' observable effects.
 
 use dlrm::ModelConfig;
-use pifs_core::system::{ServingMetrics, SlsSystem, SystemConfig};
+use pifs_core::system::{
+    OpenLoopOpts, ServingMetrics, SlsSystem, SystemConfig, TaggedQuerySource, TraceSource,
+};
 use simkit::SimTime;
-use tracegen::{ArrivalProcess, Distribution, Trace, TraceSpec};
+use tracegen::{
+    ArrivalProcess, Distribution, QosClass, QueryStreamSpec, TenantMixStream, TenantSpec, Trace,
+    TraceSpec,
+};
 
 fn small_model() -> ModelConfig {
     ModelConfig {
@@ -34,7 +39,10 @@ fn trace_for(model: &ModelConfig, n: u32) -> Trace {
 fn serve(cfg: SystemConfig, qps: f64, n: u32) -> ServingMetrics {
     let trace = trace_for(&cfg.model.clone(), n);
     let arrivals = ArrivalProcess::Poisson { qps }.times(n as usize, 77);
-    SlsSystem::new(cfg).run_open_loop(&trace, &arrivals)
+    SlsSystem::new(cfg).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    )
 }
 
 #[test]
@@ -92,7 +100,10 @@ fn overload_stretches_makespan_past_the_last_arrival() {
     let trace = trace_for(&cfg.model.clone(), n);
     let arrivals = ArrivalProcess::Poisson { qps }.times(n as usize, 77);
     let last = arrivals.last().copied().unwrap_or(SimTime::ZERO);
-    let m = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    let m = SlsSystem::new(cfg).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
     assert!(m.makespan_ns > 4 * last.as_ns());
     assert!(m.achieved_qps() < 0.5 * qps);
 }
@@ -147,11 +158,17 @@ fn warm_system_measures_only_its_own_run() {
     let trace = trace_for(&cfg().model, n);
     let arrivals = ArrivalProcess::Poisson { qps: 50_000.0 }.times(n as usize, 77);
 
-    let fresh = SlsSystem::new(cfg()).run_open_loop(&trace, &arrivals);
+    let fresh = SlsSystem::new(cfg()).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
     let mut warm_sys = SlsSystem::new(cfg());
     let closed = warm_sys.run_trace(&trace);
     assert!(closed.total_ns > 0);
-    let warm = warm_sys.run_open_loop(&trace, &arrivals);
+    let warm = warm_sys.serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
 
     // The prior run's duration must not leak into this run's numbers
     // (cache/placement state may differ slightly; time offsets may not).
@@ -166,7 +183,10 @@ fn unsorted_arrivals_rejected() {
     let cfg = SystemConfig::pond(small_model());
     let trace = trace_for(&cfg.model.clone(), 16);
     let arrivals = vec![SimTime::from_ns(10), SimTime::from_ns(5)];
-    let _ = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    let _ = SlsSystem::new(cfg).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
 }
 
 #[test]
@@ -175,5 +195,57 @@ fn arrival_overrun_rejected() {
     let cfg = SystemConfig::pond(small_model());
     let trace = trace_for(&cfg.model.clone(), 16);
     let arrivals = vec![SimTime::ZERO; 17];
-    let _ = SlsSystem::new(cfg).run_open_loop(&trace, &arrivals);
+    let _ = SlsSystem::new(cfg).serve(
+        &mut TraceSource::new(&trace, &arrivals),
+        OpenLoopOpts::default(),
+    );
+}
+
+/// A workload whose rows span far more than the model's 4096-row
+/// tables, so almost every lookup lies outside them.
+fn too_wide_spec() -> QueryStreamSpec {
+    QueryStreamSpec {
+        trace: TraceSpec {
+            distribution: Distribution::Random,
+            n_tables: small_model().n_tables,
+            rows_per_table: 1 << 30,
+            batch_size: 16,
+            n_batches: 1,
+            bag_size: 4,
+            seed: 5,
+        },
+        arrival: ArrivalProcess::Poisson { qps: 50_000.0 },
+        arrival_seed: 77,
+    }
+}
+
+fn serve_pifs(source: &mut impl TaggedQuerySource) -> ServingMetrics {
+    SlsSystem::new(SystemConfig::pifs_rec(small_model())).serve(source, OpenLoopOpts::default())
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn serve_rejects_stream_rows_wider_than_the_model() {
+    let _ = serve_pifs(&mut too_wide_spec().stream());
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn serve_rejects_tenant_rows_wider_than_the_model() {
+    let _ = serve_pifs(&mut TenantMixStream::new(vec![TenantSpec {
+        name: "wide".to_string(),
+        qos: QosClass::Batch,
+        stream: too_wide_spec(),
+    }]));
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn serve_rejects_trace_rows_wider_than_the_model() {
+    let spec = too_wide_spec();
+    let trace = spec.trace.generate();
+    let arrivals = spec
+        .arrival
+        .times(spec.n_queries() as usize, spec.arrival_seed);
+    let _ = serve_pifs(&mut TraceSource::new(&trace, &arrivals));
 }

@@ -1,7 +1,8 @@
-//! Streamed-vs-materialized differential suite: the lazy query path
-//! ([`QueryStream`] → `run_open_loop_stream` / `run_open_loop_streamed`)
-//! must be byte-identical to the materialized path
-//! (`TraceSpec::generate` + `ArrivalProcess::times` → `run_open_loop`)
+//! Streamed-vs-materialized differential suite: serving a lazy
+//! [`QueryStream`] (through `SlsSystem::serve` or
+//! `SlsCluster::run_open_loop_streamed`) must be byte-identical to
+//! serving its materialized trace and arrival vector
+//! (`TraceSpec::generate` + `ArrivalProcess::times` → [`TraceSource`])
 //! — same histograms, same completion instants, same functional
 //! checksums to the bit — across schemes, arrival processes, and
 //! pre/post-knee rates. On top of that, a [`SimCheckpoint`] captured at
@@ -12,7 +13,9 @@
 use dlrm::ModelConfig;
 use pifs_core::engine::checkpoint;
 use pifs_core::engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
-use pifs_core::system::{OpenLoopOpts, RunMetrics, ServingMetrics, SlsSystem, SystemConfig};
+use pifs_core::system::{
+    OpenLoopOpts, RunMetrics, ServingMetrics, SlsSystem, SystemConfig, TraceSource,
+};
 use pifs_core::SimCheckpoint;
 use tracegen::{ArrivalProcess, Distribution, QueryStreamSpec, TraceSpec};
 
@@ -46,18 +49,18 @@ fn spec_for(model: &ModelConfig, n: u32, arrival: ArrivalProcess) -> QueryStream
 }
 
 /// The eager reference: materialize the whole trace and arrival vector,
-/// then serve them through the classic entry point.
-fn materialized(cfg: &SystemConfig, spec: &QueryStreamSpec) -> ServingMetrics {
+/// then serve them as a [`TraceSource`].
+fn materialized(cfg: &SystemConfig, spec: &QueryStreamSpec, opts: OpenLoopOpts) -> ServingMetrics {
     let trace = spec.trace.generate();
     let arrivals = spec
         .arrival
         .times(spec.n_queries() as usize, spec.arrival_seed);
-    SlsSystem::new(cfg.clone()).run_open_loop(&trace, &arrivals)
+    SlsSystem::new(cfg.clone()).serve(&mut TraceSource::new(&trace, &arrivals), opts)
 }
 
 /// The lazy candidate: same workload, O(batch) memory.
-fn streamed(cfg: &SystemConfig, spec: &QueryStreamSpec) -> ServingMetrics {
-    SlsSystem::new(cfg.clone()).run_open_loop_stream(&mut spec.stream(), OpenLoopOpts::default())
+fn streamed(cfg: &SystemConfig, spec: &QueryStreamSpec, opts: OpenLoopOpts) -> ServingMetrics {
+    SlsSystem::new(cfg.clone()).serve(&mut spec.stream(), opts)
 }
 
 fn assert_run_eq(a: &RunMetrics, b: &RunMetrics, ctx: &str) {
@@ -151,7 +154,12 @@ fn streamed_matches_materialized_across_schemes() {
         ("recnmp", SystemConfig::recnmp(m.clone(), 0.5)),
         ("pifs_rec", SystemConfig::pifs_rec(m.clone())),
     ] {
-        assert_serving_eq(&streamed(&cfg, &spec), &materialized(&cfg, &spec), name);
+        let opts = OpenLoopOpts::default();
+        assert_serving_eq(
+            &streamed(&cfg, &spec, opts),
+            &materialized(&cfg, &spec, opts),
+            name,
+        );
     }
 }
 
@@ -180,16 +188,20 @@ fn streamed_matches_materialized_across_arrivals_and_rates() {
         ] {
             let spec = spec_for(&m, 64, arrival);
             let ctx = format!("{arrival:?} @ {qps} qps");
-            assert_serving_eq(&streamed(&cfg, &spec), &materialized(&cfg, &spec), &ctx);
+            let opts = OpenLoopOpts::default();
+            assert_serving_eq(
+                &streamed(&cfg, &spec, opts),
+                &materialized(&cfg, &spec, opts),
+                &ctx,
+            );
         }
     }
 }
 
 #[test]
 fn windowed_summaries_match_between_paths() {
-    // The windowed-latency option rides the same push path on both
-    // sides, but only the streaming entry exposes it; drive both
-    // through the session API directly to compare window summaries.
+    // The windowed-latency option rides the same push path for both
+    // sources, so their window summaries must match too.
     let m = small_model();
     let cfg = SystemConfig::pifs_rec(m.clone());
     let spec = spec_for(
@@ -206,23 +218,8 @@ fn windowed_summaries_match_between_paths() {
         window_ns: Some(100_000),
     };
 
-    let a = SlsSystem::new(cfg.clone()).run_open_loop_stream(&mut spec.stream(), opts);
-
-    // "Materialized" side: pre-generate everything, then push.
-    let trace = spec.trace.generate();
-    let arrivals = spec
-        .arrival
-        .times(spec.n_queries() as usize, spec.arrival_seed);
-    let mut sys = SlsSystem::new(cfg);
-    sys.open_loop_begin(spec.trace.n_tables, opts);
-    let mut stream = spec.stream();
-    for (qid, &at) in arrivals.iter().enumerate() {
-        let (sq, _) = stream.next_query().expect("stream length");
-        assert_eq!(sq as usize, qid);
-        let _ = trace; // trace and stream bags are proven identical in tracegen
-        sys.open_loop_push(at, &stream);
-    }
-    let b = sys.open_loop_finish();
+    let a = streamed(&cfg, &spec, opts);
+    let b = materialized(&cfg, &spec, opts);
 
     assert!(!a.windows.is_empty(), "windowed run must emit summaries");
     assert_serving_eq(&a, &b, "windowed");
@@ -241,7 +238,7 @@ fn checkpoint_resume_at_every_query_matches_straight_through() {
     let m = small_model();
     let cfg = SystemConfig::pifs_rec(m.clone());
     let spec = spec_for(&m, 48, ArrivalProcess::Poisson { qps: 200_000.0 });
-    let reference = streamed(&cfg, &spec);
+    let reference = streamed(&cfg, &spec, OpenLoopOpts::default());
 
     for k in 0..=spec.n_queries() {
         let mut sys = SlsSystem::new(cfg.clone());
@@ -320,7 +317,7 @@ fn one_shard_streamed_cluster_is_the_streamed_node() {
     let m = small_model();
     let cfg = SystemConfig::pifs_rec(m.clone());
     let spec = spec_for(&m, 96, ArrivalProcess::Poisson { qps: 50_000.0 });
-    let plain = streamed(&cfg, &spec);
+    let plain = streamed(&cfg, &spec, OpenLoopOpts::default());
     for policy in [ShardPolicy::RowHash, ShardPolicy::TablePartition] {
         let cl = SlsCluster::new(ClusterConfig::new(1, policy, cfg.clone()))
             .run_open_loop_streamed(&mut spec.stream());
@@ -354,7 +351,8 @@ fn streamed_cluster_matches_materialized_cluster() {
             for hot_rows in [0u32, 8] {
                 let mut cfg = ClusterConfig::new(k, policy, node.clone());
                 cfg.hot_rows_per_table = hot_rows;
-                let eager = SlsCluster::new(cfg.clone()).run_open_loop(&trace, &arrivals);
+                let eager = SlsCluster::new(cfg.clone())
+                    .run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
                 let lazy = SlsCluster::new(cfg).run_open_loop_streamed(&mut spec.stream());
                 assert_cluster_eq(
                     &lazy,

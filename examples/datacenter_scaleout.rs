@@ -77,7 +77,8 @@ fn main() {
     for policy in [ShardPolicy::TablePartition, ShardPolicy::RowHash] {
         for nodes in [1u16, 2, 4] {
             let cfg = ClusterConfig::new(nodes, policy, SystemConfig::pifs_rec(model.clone()));
-            let m = SlsCluster::new(cfg).run_open_loop(&trace, &arrivals);
+            let m = SlsCluster::new(cfg)
+                .run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
             println!(
                 "  {:>15}, {nodes} node(s): p99 {:>7} ns  fanout {:.2}  checksum {:.3}",
                 policy.label(),
@@ -109,7 +110,8 @@ fn main() {
             );
             cfg.hot_rows_per_table = replicas;
             cfg.faults = FaultSchedule::generate(spec, 2024, 4, 1_000_000);
-            let m = SlsCluster::new(cfg).run_open_loop(&trace, &arrivals);
+            let m = SlsCluster::new(cfg)
+                .run_open_loop_streamed(&mut TraceSource::new(&trace, &arrivals));
             println!(
                 "  {fault:>15}, {replicas:>2} replicas/table: avail {:>6.3}  coverage {:>6.3}  failovers {:>4}",
                 m.availability(),

@@ -58,7 +58,9 @@ pub mod prelude {
     pub use baselines::Scheme;
     pub use dlrm::ModelConfig;
     pub use pifs_core::engine::cluster::{ClusterConfig, ShardPolicy, SlsCluster};
-    pub use pifs_core::system::{RunMetrics, ShedPolicy, SlsSystem, SystemConfig};
+    pub use pifs_core::system::{
+        OpenLoopOpts, RunMetrics, ShedPolicy, SlsSystem, SystemConfig, TraceSource,
+    };
     pub use simkit::{FaultSchedule, FaultSpec};
     pub use tracegen::{ArrivalProcess, Distribution, TraceSpec};
 }
