@@ -28,8 +28,7 @@ use simkit::{SimDuration, SimTime};
 use super::config::{ComputeSite, SystemConfig};
 use super::metrics::RunMetrics;
 use super::topology::{spread_addr, HostCtx, SwitchCtx};
-use crate::acr::ClusterId;
-use crate::forward::ForwardOutcome;
+use crate::ooo::ClusterId;
 
 /// Host-side cost of issuing one instruction (decode + queue into the
 /// CXL controller).
@@ -74,58 +73,55 @@ pub(crate) struct BagScratch {
     instr_arrivals: Vec<SimTime>,
     by_switch: Vec<SwitchGroup>,
     sub_acc: Vec<f32>,
+    merged: Vec<f32>,
     batch: BagBatch,
+    /// The DataFetch burst, its encoded slab and its decoding, for the
+    /// debug-build codec round-trip check.
+    #[cfg(debug_assertions)]
+    codec: (Vec<M2sReq>, Vec<u128>, Vec<M2sReq>),
 }
 
 /// Structure-of-arrays gather stage: one bag's (or one switch group's)
-/// row ids collected in bag order, folded in one batched pass after the
-/// timing loop. Rows of a materialized table fold straight from the
-/// shared contiguous row store — copying them into a local arena first
-/// would only add memory traffic (measured slower on the `end_to_end`
-/// targets). Rows of an over-cap (procedural) table batch-fill the
-/// arena with the vectorized hash ([`EmbeddingTable::value_block`]) in
-/// one contiguous row-major slab, which the SoA fold
-/// ([`dlrm::sls::simd::fold_rows_soa`]) then streams. Both paths fold
-/// in push order with the per-element scalar operation, so the sums are
-/// bit-identical to per-row [`dlrm::sls::accumulate_row`]. Lives in
-/// [`BagScratch`]; capacities persist across bags.
+/// rows folded in one batched pass after the timing loop. Rows of a
+/// materialized table fold straight from the shared contiguous row
+/// store — copying them into a local arena first would only add memory
+/// traffic (measured slower on the `end_to_end` targets). Rows of an
+/// over-cap (procedural) table batch-fill the arena with the vectorized
+/// hash ([`EmbeddingTable::value_block`]) in one contiguous row-major
+/// slab, which the SoA fold ([`dlrm::sls::simd::fold_rows_soa`]) then
+/// streams. Both paths fold in row order with the per-element scalar
+/// operation, so the sums are bit-identical to per-row
+/// [`dlrm::sls::accumulate_row`]. Lives in [`BagScratch`]; the arena's
+/// capacity persists across bags.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct BagBatch {
-    /// Row ids gathered for the pending fold, in bag order.
-    rows: Vec<u64>,
     /// Row-major `rows × dim` value slab (procedural tables only).
     data: Vec<f32>,
-    /// Element width of each gathered row.
-    dim: usize,
 }
 
 impl BagBatch {
-    /// Starts a new gather at width `dim`, keeping buffer capacities.
-    pub(crate) fn begin(&mut self, dim: usize) {
-        self.rows.clear();
-        self.data.clear();
-        self.dim = dim;
-    }
-
-    /// Appends one row id to the gather.
-    pub(crate) fn push_row(&mut self, row: u64) {
-        self.rows.push(row);
-    }
-
-    /// Folds every gathered row of `table` into `acc` in push order —
+    /// Folds `rows` of `table` into `acc` in iteration order —
     /// bit-identical to per-row [`dlrm::sls::accumulate_row`] (see the
     /// type docs for the two paths).
-    pub(crate) fn fold_into(&mut self, table: &EmbeddingTable, acc: &mut [f32]) {
-        debug_assert_eq!(self.dim, table.dim() as usize, "gather width mismatch");
+    pub(crate) fn fold(
+        &mut self,
+        table: &EmbeddingTable,
+        rows: impl IntoIterator<Item = u64>,
+        acc: &mut [f32],
+    ) {
+        let dim = table.dim() as usize;
+        debug_assert_eq!(acc.len(), dim, "gather width mismatch");
         if table.is_materialized() {
-            for &row in &self.rows {
+            for row in rows {
                 dlrm::sls::accumulate_row(acc, table, row, 1.0);
             }
             return;
         }
-        self.data.resize(self.rows.len() * self.dim, 0.0);
-        for (&row, slot) in self.rows.iter().zip(self.data.chunks_exact_mut(self.dim)) {
-            table.value_block(row, 0, slot);
+        self.data.clear();
+        for row in rows {
+            let start = self.data.len();
+            self.data.resize(start + dim, 0.0);
+            table.value_block(row, 0, &mut self.data[start..]);
         }
         dlrm::sls::simd::fold_rows_soa(acc, &self.data, None);
     }
@@ -141,7 +137,7 @@ pub(crate) struct EngineCtx<'a> {
     pub cfg: &'a SystemConfig,
     /// Host/switch/device adjacency.
     pub topo: &'a Topology,
-    /// All switches (process cores, buffers, ACR/IIR/FC state).
+    /// All switches (process cores, accumulate engines, buffers).
     pub switches: &'a mut [SwitchCtx],
     /// All CXL Type 3 devices.
     pub devices: &'a mut [Type3Device],
@@ -161,7 +157,7 @@ pub(crate) struct EngineCtx<'a> {
     pub epoch_dev_pages: &'a mut [simkit::hash::FastMap<PageId, u64>],
     /// Run metrics under construction.
     pub metrics: &'a mut RunMetrics,
-    /// Next ACR cluster id.
+    /// Next accumulation cluster id.
     pub next_cluster: &'a mut u64,
 }
 
@@ -381,12 +377,9 @@ impl Stage for LocalGatherStage {
         // SoA gather + wide fold, hoisted out of the timing loop: same
         // rows in the same order as the per-row fold it replaces, so the
         // functional sums are bit-identical.
+        let rows = bag.local.iter().map(|&(row, _)| row);
         let table = &ctx.tables[bag.table as usize];
-        bag.scratch.batch.begin(table.dim() as usize);
-        for &(row, _) in &bag.local {
-            bag.scratch.batch.push_row(row);
-        }
-        bag.scratch.batch.fold_into(table, &mut bag.acc);
+        bag.scratch.batch.fold(table, rows, &mut bag.acc);
         // Local gathers are software-pipelined across bags (prefetch
         // hides local DRAM latency — the CPU optimizations of the
         // paper's [8]); the core is free once the loads are in flight.
@@ -425,12 +418,9 @@ impl Stage for RemoteGatherStage {
         }
         // SoA gather + wide fold, hoisted out of the timing loop (order
         // preserved, bit-identical).
+        let rows = bag.remote.iter().map(|&(row, _)| row);
         let table = &ctx.tables[bag.table as usize];
-        bag.scratch.batch.begin(table.dim() as usize);
-        for &(row, _) in &bag.remote {
-            bag.scratch.batch.push_row(row);
-        }
-        bag.scratch.batch.fold_into(table, &mut bag.acc);
+        bag.scratch.batch.fold(table, rows, &mut bag.acc);
         bag.done = bag.done.max(last);
         bag.core_busy = bag.core_busy.max(last); // synchronous on the core
     }
@@ -499,12 +489,9 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
     }
     // SoA gather + wide fold, hoisted out of the timing loop (order
     // preserved, bit-identical).
+    let rows = bag.cxl.iter().map(|&(_, row, _)| row);
     let table = &ctx.tables[bag.table as usize];
-    bag.scratch.batch.begin(table.dim() as usize);
-    for &(_, row, _) in &bag.cxl {
-        bag.scratch.batch.push_row(row);
-    }
-    bag.scratch.batch.fold_into(table, &mut bag.acc);
+    bag.scratch.batch.fold(table, rows, &mut bag.acc);
     // The gather loop is software-pipelined across bags; the run is
     // bound by fabric bandwidth (every row crosses the host link,
     // which is Pond's structural handicap), not by one bag's RTT.
@@ -517,9 +504,8 @@ fn cxl_rows_host_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (Si
 /// host.
 fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (SimTime, SimTime) {
     let row_bytes = ctx.cfg.model.row_bytes();
-    let dim = ctx.cfg.model.emb_dim;
+    let dim = ctx.cfg.model.emb_dim as usize;
     let host_idx = bag.host_idx;
-    let table = bag.table;
     let host_switch = ctx.topo.host_switch(host_idx);
     let local_sw_idx = host_switch.0 as usize;
     let cluster = ClusterId(*ctx.next_cluster);
@@ -550,14 +536,6 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
 
     // Host issues Configuration + one DataFetch per row on its
     // request link, then is free (asynchronous communication).
-    let chunks = (row_bytes.div_ceil(16)).min(8) as u8;
-    let config_req = M2sReq::configuration(
-        0xF000_0000,
-        (cluster.0 & 0x1FF) as u16,
-        bag.cxl.len() as u16,
-        host_idx as u16,
-    );
-    debug_assert_eq!(config_req.opcode, cxlsim::MemOpcode::Configuration);
     let mut t = bag.core_busy;
     let config_arrival = {
         let sent = ctx.hosts[host_idx].req_link.transfer(t, M2sReq::WIRE_BYTES);
@@ -575,33 +553,37 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         &mut bag.scratch.sent,
     );
     t += SimDuration::from_ns(ISSUE_NS * bag.cxl.len() as u64);
-    // Arrival time of each DataFetch at its switch, indexed by the row's
-    // position in `bag.cxl` (positional, so duplicate rows in one bag
-    // keep their own serialized issue/arrival times).
-    // Debug builds round-trip the whole DataFetch burst through the
-    // batched codec and check every instruction routes to the process
-    // core; the release path models only the stream's timing.
+    // Debug builds encode the Configuration and round-trip the whole
+    // DataFetch burst through the batched codec, checking that every
+    // instruction routes to the process core; the release path models
+    // only the stream's timing.
     #[cfg(debug_assertions)]
     {
-        let stream: Vec<M2sReq> = bag
-            .cxl
-            .iter()
-            .map(|&(_, _, addr)| {
-                M2sReq::data_fetch(addr, (cluster.0 & 0x1FF) as u16, chunks, host_idx as u16)
-            })
-            .collect();
-        let mut slab = Vec::new();
-        M2sReq::encode_batch(&stream, &mut slab);
-        let mut decoded = Vec::new();
-        M2sReq::decode_batch(&slab, &mut decoded).expect("DataFetch burst decodes");
+        let sum_tag = (cluster.0 & 0x1FF) as u16;
+        let config_req =
+            M2sReq::configuration(0xF000_0000, sum_tag, bag.cxl.len() as u16, host_idx as u16);
+        assert_eq!(config_req.opcode, cxlsim::MemOpcode::Configuration);
+        let chunks = (row_bytes.div_ceil(16)).min(8) as u8;
+        let (stream, slab, decoded) = &mut bag.scratch.codec;
+        stream.clear();
+        stream.extend(
+            bag.cxl
+                .iter()
+                .map(|&(_, _, addr)| M2sReq::data_fetch(addr, sum_tag, chunks, host_idx as u16)),
+        );
+        M2sReq::encode_batch(stream, slab);
+        M2sReq::decode_batch(slab, decoded).expect("DataFetch burst decodes");
         assert_eq!(decoded, stream, "batched codec must round-trip the burst");
-        for req in &decoded {
+        for req in decoded.iter() {
             assert_eq!(
                 crate::instrflow::check_memopcode(req),
                 crate::InstrRoute::ProcessCore
             );
         }
     }
+    // Arrival time of each DataFetch at its switch, indexed by the row's
+    // position in `bag.cxl` (positional, so duplicate rows in one bag
+    // keep their own serialized issue/arrival times).
     bag.scratch.instr_arrivals.clear();
     for (i, &(dev, _row, _addr)) in bag.cxl.iter().enumerate() {
         let s = ctx.topo.device_switch(dev as usize);
@@ -611,19 +593,13 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
     }
     let core_free = t;
 
-    // The local ACR opens the cluster when the Configuration lands.
-    let _ = config_arrival;
-    ctx.switches[local_sw_idx]
-        .acr
-        .configure(cluster, bag.cxl.len() as u32, 0xF000_0000, dim)
-        .unwrap_or_else(|_| panic!("ACR backpressure not modeled as fatal: raise ACR_CAPACITY"));
-    ctx.switches[local_sw_idx]
-        .fc
-        .open(cluster, n_groups as u32, dim);
-
-    // Each switch group accumulates its sub-cluster.
+    // Each switch group accumulates its sub-cluster; the local switch
+    // merges the partial sums in group order and releases the result
+    // once the last one has landed (§IV-C).
+    let tbl = &ctx.tables[bag.table as usize];
     let mut final_done = config_arrival;
-    let mut merged_acc: Option<Vec<f32>> = None;
+    bag.scratch.merged.clear();
+    bag.scratch.merged.resize(dim, 0.0f32);
     for (sid, group) in &bag.scratch.by_switch[..n_groups] {
         // §IV-C2 versatility: a remote switch without a process core
         // (CNV = 0) cannot accumulate — the local switch does all the
@@ -634,18 +610,6 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         } else {
             local_sw_idx
         };
-        bag.scratch.sub_acc.clear();
-        bag.scratch.sub_acc.resize(dim as usize, 0.0f32);
-        // Per-group SoA gather: the sub-cluster's rows stream through the
-        // arena in group order, so the wide fold below is bit-identical
-        // to the per-row fold it replaces. (`ctx.tables` is copied out so
-        // the borrow doesn't pin `ctx` across the timing loop.)
-        let tables: &[EmbeddingTable] = ctx.tables;
-        let tbl = &tables[table as usize];
-        bag.scratch.batch.begin(dim as usize);
-        for &i in group {
-            bag.scratch.batch.push_row(bag.cxl[i].1);
-        }
         let mut sub_last = SimTime::ZERO;
         for &i in group {
             let (dev, _row, addr) = bag.cxl[i];
@@ -656,10 +620,7 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
             sw.decode_free = decode_start + SimDuration::from_ns(DECODE_NS);
             let decoded = sw.decode_free + SimDuration::from_ns(ctx.cfg.translation_ns);
 
-            // Register in the IIR, repack and fetch (buffer first).
-            let fetch_req =
-                M2sReq::data_fetch(addr, (cluster.0 & 0x1FF) as u16, chunks, host_idx as u16);
-            let _ = sw.iir.register(fetch_req);
+            // Repack and fetch (buffer first).
             let hit = sw.buffer.as_mut().map(|b| b.access(addr)).unwrap_or(false);
             let mut data_ready = if hit {
                 let lat = sw.buffer.as_ref().expect("buffer present").access_latency();
@@ -673,13 +634,19 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
                     + ctx.topo.hop_latency(*sid, host_switch)
                     + SimDuration::from_ns(row_bytes / ctx.cfg.cxl.link_gbps.max(1) + 1);
             }
-            let sw = &mut ctx.switches[s_idx];
-            sw.iir.match_return(addr);
-            let folded = sw.engine.process_row(data_ready, cluster);
+            let folded = ctx.switches[s_idx].engine.process_row(data_ready, cluster);
             sub_last = sub_last.max(folded);
         }
-        bag.scratch.batch.fold_into(tbl, &mut bag.scratch.sub_acc);
         ctx.switches[s_idx].engine.complete_cluster(cluster);
+        // Per-group SoA gather: the sub-cluster's rows fold in group
+        // order into their own partial, which then joins the merge.
+        bag.scratch.sub_acc.clear();
+        bag.scratch.sub_acc.resize(dim, 0.0f32);
+        let rows = group.iter().map(|&i| bag.cxl[i].1);
+        bag.scratch.batch.fold(tbl, rows, &mut bag.scratch.sub_acc);
+        for (m, &v) in bag.scratch.merged.iter_mut().zip(&bag.scratch.sub_acc) {
+            *m += v;
+        }
 
         // Ship the sub-result to the local switch (free when the
         // accumulation already happened locally).
@@ -688,29 +655,9 @@ fn cxl_rows_switch_compute(ctx: &mut EngineCtx<'_>, bag: &mut BagState<'_>) -> (
         } else {
             SimDuration::ZERO
         };
-        let sub_at_local = sub_last + hop;
-        match ctx.switches[local_sw_idx].fc.on_sub_result(
-            cluster,
-            &bag.scratch.sub_acc,
-            sub_at_local,
-        ) {
-            ForwardOutcome::Waiting => {}
-            ForwardOutcome::Complete(vec, at) => {
-                merged_acc = Some(vec);
-                final_done = final_done.max(at);
-            }
-        }
+        final_done = final_done.max(sub_last + hop);
     }
-
-    // Retire the cluster in the ACR by feeding the merged result as
-    // bookkeeping (counts were tracked per arrival by the engine; the
-    // ACR holds the canonical counter — drained counter-only, since the
-    // merged arithmetic lives in the forward controller's result).
-    let merged = merged_acc.expect("all sub-clusters reported");
-    let _ = ctx.switches[local_sw_idx]
-        .acr
-        .drain_rows(cluster, bag.cxl.len() as u32);
-    for (a, &v) in bag.acc.iter_mut().zip(&merged) {
+    for (a, &v) in bag.acc.iter_mut().zip(&bag.scratch.merged) {
         *a += v;
     }
 
@@ -742,13 +689,8 @@ mod tests {
             for &r in &rows {
                 dlrm::sls::accumulate_row(&mut want, table, r, 1.0);
             }
-            let mut batch = BagBatch::default();
-            batch.begin(dim);
-            for &r in &rows {
-                batch.push_row(r);
-            }
             let mut got = vec![0.0f32; dim];
-            batch.fold_into(table, &mut got);
+            BagBatch::default().fold(table, rows.iter().copied(), &mut got);
             assert_eq!(
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -45,7 +45,8 @@ pub fn check_memopcode(req: &M2sReq) -> InstrRoute {
 /// Repacks a `DataFetch` for issue to the end device: opcode becomes a
 /// standard `MemRd`, the SPID becomes the switch's, and the DPID selects
 /// the target device. The host "still acts as a monitor" — its original
-/// tag and address are preserved so the IIR can match the return.
+/// tag and address are preserved so the returning row can be matched to
+/// its instruction.
 ///
 /// # Panics
 ///

@@ -11,16 +11,17 @@
 //!
 //! * [`instrflow`] — the MemOpcode checker and instruction repacking that
 //!   let standard CXL traffic bypass the process core untouched;
-//! * [`iir`] — the Instruction Ingress Registry matching returning data
-//!   to its originating instruction by address;
-//! * [`acr`] — the Accumulate Configuration Register/Logic with
-//!   `SumCandidateCounter` completion tracking and capacity-based
-//!   backpressure;
 //! * [`ooo`] — the out-of-order accumulation engine with swap registers;
 //! * [`buffer`] — the on-switch SRAM buffer with the Hottest-Recording
-//!   (HTR) replacement policy, plus LRU/FIFO for comparison;
-//! * [`forward`] — multi-layer instruction forwarding across switches
-//!   with `Sub-SumCandidateCounter` bookkeeping and CNV discovery.
+//!   (HTR) replacement policy, plus LRU/FIFO for comparison.
+//!
+//! Each bag runs to completion inside one pipeline call, so a switch
+//! holds one live accumulation cluster at a time. The paper's
+//! Accumulate Configuration Register, Instruction Ingress Registry and
+//! forward controller therefore reduce to what the pipeline does
+//! directly: per-switch partial sums merged in switch order at the host's
+//! switch (§IV-C multi-layer forwarding, including CNV = 0 switches), and
+//! the result released when the last one lands.
 //!
 //! The [`system`] module composes these with the substrate crates
 //! (`memsim`, `cxlsim`, `pagemgmt`, `dlrm`, `tracegen`) into a runnable
@@ -49,21 +50,15 @@
 
 #![warn(missing_docs)]
 
-pub mod acr;
 pub mod buffer;
 pub mod engine;
-pub mod forward;
-pub mod iir;
 pub mod instrflow;
 pub mod ooo;
 pub mod system;
 
-pub use acr::{AccumulateLogic, AcrFull, ClusterId};
 pub use buffer::{BufferPolicy, OnSwitchBuffer};
 pub use engine::checkpoint::SimCheckpoint;
 pub use engine::cluster::{ClusterConfig, ClusterMetrics, ShardPolicy, SlsCluster};
-pub use forward::{ForwardController, ForwardOutcome};
-pub use iir::IngressRegistry;
 pub use instrflow::{check_memopcode, InstrRoute};
-pub use ooo::AccumEngine;
+pub use ooo::{AccumEngine, ClusterId};
 pub use system::{ComputeSite, RunMetrics, SlsSystem, SystemConfig};

@@ -12,7 +12,11 @@ use simkit::hash::FastSet;
 
 use simkit::{SimDuration, SimTime};
 
-use crate::acr::ClusterId;
+/// Identity of one accumulation cluster: the rows of one bag that a
+/// switch folds. The 9-bit wire `sumtag` is its low bits; the simulation
+/// widens it so clusters from many hosts and batches stay distinct.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ClusterId(pub u64);
 
 // Engine state: `current` is the cluster loaded in the datapath, `parked`
 // are incomplete partials held in swap registers, `completed` marks

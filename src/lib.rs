@@ -9,8 +9,9 @@
 //!
 //! This facade re-exports the whole workspace:
 //!
-//! * [`pifs_core`] — the process core, ACR, OoO engine, HTR buffer,
-//!   multi-switch forwarding, and the full-system simulator;
+//! * [`pifs_core`] — the process core (OoO accumulate engine, HTR
+//!   buffer, multi-switch partial-sum merge) and the full-system
+//!   simulator;
 //! * [`cxlsim`] / [`memsim`] — the CXL fabric and DDR timing substrates;
 //! * [`dlrm`] / [`tracegen`] — the workload;
 //! * [`pagemgmt`] — the tiered-memory software layer;

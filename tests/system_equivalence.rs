@@ -152,3 +152,78 @@ fn cnv_fallback_preserves_results_and_costs_bandwidth() {
         with_pc.total_ns
     );
 }
+
+#[test]
+fn multi_switch_switch_path_is_pinned_bit_exactly() {
+    // The switch-compute path on a 4-switch fabric, bit for bit:
+    // PIFS-Rec and BEACON, each with every process core and with the
+    // cores of switches 1..4 disabled (CNV = 0, so the host's switch
+    // folds the remote rows itself). The merge of the per-switch
+    // partial sums and the hop timing both show in these numbers.
+    // (scheme, every core on, checksum bits, total_ns, ooo_stalls,
+    // sram_spills, buffer_hits)
+    const PINNED: [(Scheme, bool, u64, u64, u64, u64, u64); 4] = [
+        (
+            Scheme::PifsRec,
+            true,
+            0x40b3_decb_93ec_0000,
+            8149,
+            0,
+            0,
+            1204,
+        ),
+        (
+            Scheme::PifsRec,
+            false,
+            0x40b3_decb_93ec_0000,
+            8197,
+            0,
+            0,
+            1204,
+        ),
+        (
+            Scheme::Beacon,
+            true,
+            0x40b3_decb_9414_0000,
+            11894,
+            1823,
+            0,
+            0,
+        ),
+        (
+            Scheme::Beacon,
+            false,
+            0x40b3_decb_9414_0000,
+            12334,
+            511,
+            0,
+            0,
+        ),
+    ];
+    let t = trace(4, 16, 131);
+    for (scheme, cnv, checksum_bits, total_ns, stalls, spills, hits) in PINNED {
+        let mut cfg = scheme.config(model());
+        cfg.n_switches = 4;
+        cfg.n_hosts = 1;
+        let mut sys = SlsSystem::new(cfg);
+        if !cnv {
+            for idx in 1..4 {
+                sys.disable_process_core(idx);
+            }
+        }
+        let m = sys.run_trace(&t);
+        let got = (
+            m.checksum.to_bits(),
+            m.total_ns,
+            m.ooo_stalls,
+            m.sram_spills,
+            m.buffer_hits,
+        );
+        assert_eq!(
+            got,
+            (checksum_bits, total_ns, stalls, spills, hits),
+            "{} with every core on = {cnv}",
+            scheme.label()
+        );
+    }
+}
