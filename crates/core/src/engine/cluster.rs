@@ -579,30 +579,63 @@ pub fn merged_bag_embedding(
     table_idx: u32,
     bag: &[u64],
 ) -> Vec<f64> {
+    let mut buf = MergeBuffers::default();
+    merge_bag_into(
+        placement, faults, at, excluded, table, table_idx, bag, &mut buf,
+    );
+    buf.merged
+}
+
+/// The buffers of one bag's functional merge — its route and the merged
+/// and per-shard partial sums — recycled across a replay's bags.
+#[derive(Debug, Default)]
+struct MergeBuffers {
+    route: Vec<u16>,
+    merged: Vec<f64>,
+    partial: Vec<f64>,
+}
+
+/// [`merged_bag_embedding`] in `buf`: the merged embedding is left in
+/// `buf.merged`.
+#[allow(clippy::too_many_arguments)]
+fn merge_bag_into(
+    placement: &ShardPlacement,
+    faults: &FaultSchedule,
+    at: SimTime,
+    excluded: &[u16],
+    table: &EmbeddingTable,
+    table_idx: u32,
+    bag: &[u64],
+    buf: &mut MergeBuffers,
+) {
     let dim = table.dim() as usize;
-    let mut route = Vec::new();
-    placement.route_bag_at(table_idx, bag, at, faults, &mut route);
-    let mut merged = vec![0.0f64; dim];
-    let mut partial = vec![0.0f64; dim];
+    let MergeBuffers {
+        route,
+        merged,
+        partial,
+    } = buf;
+    placement.route_bag_at(table_idx, bag, at, faults, route);
+    merged.clear();
+    merged.resize(dim, 0.0);
+    partial.resize(dim, 0.0);
     for shard in 0..placement.n_shards {
         if excluded.contains(&shard) {
             continue;
         }
         partial.iter_mut().for_each(|v| *v = 0.0);
         let mut any = false;
-        for (&row, &s) in bag.iter().zip(&route) {
+        for (&row, &s) in bag.iter().zip(route.iter()) {
             if s == shard {
-                dlrm::sls::accumulate_row_exact(&mut partial, table, row, 1.0);
+                dlrm::sls::accumulate_row_exact(partial, table, row, 1.0);
                 any = true;
             }
         }
         if any {
-            for (m, p) in merged.iter_mut().zip(&partial) {
+            for (m, p) in merged.iter_mut().zip(partial.iter()) {
                 *m += p;
             }
         }
     }
-    merged
 }
 
 /// The timing-plane merge: queries in qid order, shards
@@ -938,6 +971,7 @@ pub fn merge_streamed<S: TaggedQuerySource>(
     let mut replay = stream.clone();
     let mut cursor = 0usize;
     let mut skip: Vec<u16> = Vec::new();
+    let mut buf = MergeBuffers::default();
     m.query_checksums = (0..routed.arrivals.len())
         .map(|qid| {
             let (_, _, at) = replay.next_tagged().expect("stream shorter than the run");
@@ -953,7 +987,7 @@ pub fn merge_streamed<S: TaggedQuerySource>(
                 .iter()
                 .enumerate()
                 .map(|(t, table)| {
-                    merged_bag_embedding(
+                    merge_bag_into(
                         placement,
                         &cfg.faults,
                         at,
@@ -961,9 +995,9 @@ pub fn merge_streamed<S: TaggedQuerySource>(
                         table,
                         t as u32,
                         replay.bag(t as u32),
-                    )
-                    .iter()
-                    .sum::<f64>()
+                        &mut buf,
+                    );
+                    buf.merged.iter().sum::<f64>()
                 })
                 .sum()
         })

@@ -134,6 +134,10 @@ pub struct ServingController {
     /// The union of per-host hottest-[`CHURN_TOP_K`] sets at the last
     /// epoch, sorted — the churn baseline.
     prev_hot: Vec<PageId>,
+    /// The union being built at an epoch (swapped with `prev_hot`
+    /// afterwards) and its ranking buffer: recycled across epochs.
+    cur_hot: Vec<PageId>,
+    rank: Vec<(PageId, u64)>,
     /// Epochs actually run (cadence introspection for harnesses).
     epochs_run: u64,
 }
@@ -155,6 +159,8 @@ impl ServingController {
             epoch_period: 1,
             batches_since_epoch: 0,
             prev_hot: Vec::new(),
+            cur_hot: Vec::new(),
+            rank: Vec::new(),
             epochs_run: 0,
         }
     }
@@ -277,28 +283,36 @@ impl ServingController {
         }
         self.batches_since_epoch = 0;
         self.epochs_run += 1;
-        let cur = hottest_union(hotness, CHURN_TOP_K);
-        let fresh = cur.len() - sorted_intersection(&self.prev_hot, &cur);
+        hottest_union(hotness, CHURN_TOP_K, &mut self.rank, &mut self.cur_hot);
+        let cur = &self.cur_hot;
+        let fresh = cur.len() - sorted_intersection(&self.prev_hot, cur);
         if fresh * 2 > cur.len() {
             self.epoch_period = (self.epoch_period / 2).max(1);
         } else if fresh * 8 < cur.len().max(1) {
             self.epoch_period = (self.epoch_period * 2).min(EPOCH_PERIOD_CAP);
         }
-        self.prev_hot = cur;
+        std::mem::swap(&mut self.prev_hot, &mut self.cur_hot);
         true
     }
 }
 
-/// The union of every host's hottest-`k` pages, sorted ascending
-/// (deterministic: [`pagemgmt::HotnessTracker::hottest`] total-orders
-/// ties by page id).
-fn hottest_union(hotness: &GlobalHotness, k: usize) -> Vec<PageId> {
-    let mut all: Vec<PageId> = (0..hotness.n_hosts())
-        .flat_map(|h| hotness.host(h).hottest(k))
-        .collect();
-    all.sort_unstable();
-    all.dedup();
-    all
+/// Replaces `out` with the union of every host's hottest-`k` pages,
+/// sorted ascending (deterministic:
+/// [`pagemgmt::HotnessTracker::hottest_into`] total-orders ties by page
+/// id), ranking in the reused buffer `rank`.
+fn hottest_union(
+    hotness: &GlobalHotness,
+    k: usize,
+    rank: &mut Vec<(PageId, u64)>,
+    out: &mut Vec<PageId>,
+) {
+    out.clear();
+    for h in 0..hotness.n_hosts() {
+        hotness.host(h).hottest_into(k, rank);
+        out.extend(rank.iter().map(|&(p, _)| p));
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// `|a ∩ b|` for sorted, deduplicated slices (two-pointer walk).

@@ -40,17 +40,21 @@ pub(crate) const SNOOP_NS: u64 = 10;
 pub(crate) const DECODE_NS: u64 = 1;
 
 /// The one per-system scratch bundle: the per-bag pipeline buffers
-/// ([`BagScratch`], including the SoA [`BagBatch`] gather arena) and the
+/// ([`BagScratch`], including the SoA [`BagBatch`] gather arena), the
 /// per-batch buffers
-/// ([`ServingScratch`](super::serving::ServingScratch)). Both run modes
-/// share this single allocation-free scratch convention — any new
-/// reusable buffer, per-bag or per-batch, belongs here.
+/// ([`ServingScratch`](super::serving::ServingScratch)) and the
+/// batch-boundary page-management buffers
+/// ([`EpochScratch`](super::pagemgmt_epoch::EpochScratch)). Both run
+/// modes share this single allocation-free scratch convention — any new
+/// reusable buffer, per-bag, per-batch or per-epoch, belongs here.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct EngineScratch {
     /// Per-bag pipeline buffers.
     pub bag: BagScratch,
     /// Per-batch buffers (completion times, partition memo).
     pub serving: super::serving::ServingScratch,
+    /// Page-management epoch buffers, dropped at the end of each run.
+    pub epoch: super::pagemgmt_epoch::EpochScratch,
 }
 
 /// Reusable buffers for the per-bag pipeline.

@@ -185,6 +185,10 @@ pub struct QueryBatcher {
     batch_size: usize,
     max_wait: SimDuration,
     pending: VecDeque<PendingQuery>,
+    /// The member buffer of the next closed batch: a dispatched batch
+    /// hands its buffer back ([`Self::recycle`]), so closing a batch
+    /// allocates nothing once the buffer has grown.
+    spare: Vec<PendingQuery>,
 }
 
 impl QueryBatcher {
@@ -199,6 +203,7 @@ impl QueryBatcher {
             batch_size: cfg.batch_size as usize,
             max_wait: SimDuration::from_ns(cfg.max_wait_ns),
             pending: VecDeque::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -227,10 +232,7 @@ impl QueryBatcher {
             "flush_due must run before offer admits an arrival at {at}"
         );
         self.pending.push_back(PendingQuery { qid, arrival: at });
-        (self.pending.len() >= self.batch_size).then(|| ReadyBatch {
-            queries: self.pending.drain(..).collect(),
-            close: at,
-        })
+        (self.pending.len() >= self.batch_size).then(|| self.close(at))
     }
 
     /// Fires the max-wait timeout if it is due at `now` (inclusive):
@@ -239,10 +241,23 @@ impl QueryBatcher {
     /// empty tick (`flush_due` on an empty batcher) is a no-op.
     pub fn flush_due(&mut self, now: SimTime) -> Option<ReadyBatch> {
         let deadline = self.deadline()?;
-        (deadline <= now).then(|| ReadyBatch {
-            queries: self.pending.drain(..).collect(),
-            close: deadline,
-        })
+        (deadline <= now).then(|| self.close(deadline))
+    }
+
+    /// Closes every pending query into a batch at `close`, in the spare
+    /// member buffer.
+    fn close(&mut self, close: SimTime) -> ReadyBatch {
+        let mut queries = std::mem::take(&mut self.spare);
+        queries.extend(self.pending.drain(..));
+        ReadyBatch { queries, close }
+    }
+
+    /// Hands a dispatched batch's member buffer back for the next batch
+    /// to reuse.
+    pub(crate) fn recycle(&mut self, batch: ReadyBatch) {
+        let mut queries = batch.queries;
+        queries.clear();
+        self.spare = queries;
     }
 
     /// Retunes the close conditions mid-stream (the serving

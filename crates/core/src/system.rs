@@ -228,6 +228,7 @@ impl SlsSystem {
             }
         }
         self.scratch.serving.q_done = q_done;
+        self.release_epoch_scratch();
 
         self.metrics.total_ns = self
             .plant
@@ -392,7 +393,7 @@ impl SlsSystem {
         // full batch). The pending store always holds exactly the
         // batcher's pending queries, in FIFO order.
         while let Some(b) = s.batcher.flush_due(arrival) {
-            self.dispatch_batch(&mut s, &b);
+            self.dispatch_batch(&mut s, b);
         }
         let qid = s.next_qid;
         s.next_qid += 1;
@@ -418,7 +419,7 @@ impl SlsSystem {
         }
         s.tenants.push(tenant);
         if let Some(b) = s.batcher.offer(qid, arrival) {
-            self.dispatch_batch(&mut s, &b);
+            self.dispatch_batch(&mut s, b);
         }
         self.session = Some(s);
         qid
@@ -460,7 +461,7 @@ impl SlsSystem {
             .take()
             .expect("open_loop_finish requires an active session (open_loop_begin)");
         while let Some(b) = s.batcher.flush_due(SimTime::from_ns(u64::MAX)) {
-            self.dispatch_batch(&mut s, &b);
+            self.dispatch_batch(&mut s, b);
         }
         // Trailing shed queries (nothing after them ever dispatched).
         while let Some((shed_qid, at)) = s.shed_completions.pop_front() {
@@ -479,6 +480,7 @@ impl SlsSystem {
         if let Some(w) = s.windows {
             serving.windows = w.finish();
         }
+        self.release_epoch_scratch();
         serving.makespan_ns = self
             .plant
             .hosts
@@ -512,8 +514,9 @@ impl SlsSystem {
     /// closed-loop batches do. The pending store is recycled (cleared,
     /// capacity kept) on return: the batcher drains *all* pending
     /// queries into every batch it closes, so the store and the batch
-    /// always cover the same queries.
-    fn dispatch_batch(&mut self, s: &mut OpenLoopSession, batch: &ReadyBatch) {
+    /// always cover the same queries. The batch's member buffer goes back
+    /// to the batcher for the next batch.
+    fn dispatch_batch(&mut self, s: &mut OpenLoopSession, batch: ReadyBatch) {
         let bi = s.batches_dispatched as usize;
         s.batches_dispatched += 1;
         let host_idx = bi % self.cfg.n_hosts as usize;
@@ -632,6 +635,7 @@ impl SlsSystem {
         s.offsets.push(0);
         s.tenants.clear();
         self.scratch.serving = sv;
+        s.batcher.recycle(batch);
     }
 
     /// Runs one batch's bags on host `host_idx`: every core starts at
@@ -680,6 +684,13 @@ impl SlsSystem {
         (batch_done, latency_sum)
     }
 
+    /// Drops the page-management epoch buffers at the end of a run. They
+    /// scale with the page count; kept for the system's lifetime, every
+    /// idle system (a harness holds many) would carry its own copy.
+    fn release_epoch_scratch(&mut self) {
+        self.scratch.epoch = Default::default();
+    }
+
     /// Records current cumulative counters so the measured window can
     /// subtract everything that happened before the capture point.
     fn snapshot_counters(&self, dev_offset: &mut [u64]) -> CounterOffsets {
@@ -718,6 +729,7 @@ impl SlsSystem {
             devices: &self.plant.devices,
             metrics: &mut self.metrics,
             pm_epoch: &mut self.pm_epoch,
+            scratch: &mut self.scratch.epoch,
         }
     }
 }

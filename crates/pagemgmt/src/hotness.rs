@@ -53,50 +53,61 @@ impl HotnessTracker {
     }
 
     /// The `k` most-accessed pages, hottest first (ties broken by page id
-    /// for determinism).
+    /// for determinism). The allocating form of [`Self::hottest_into`].
+    pub fn hottest(&self, k: usize) -> Vec<PageId> {
+        let mut ranked = Vec::new();
+        self.hottest_into(k, &mut ranked);
+        ranked.into_iter().map(|(p, _)| p).collect()
+    }
+
+    /// Fills `out` with the `k` most-accessed `(page, count)` entries,
+    /// hottest first (ties broken by page id), reusing its capacity.
     ///
     /// `(count, id)` is a total order, so partitioning the top `k` with a
     /// quickselect before sorting only that prefix returns exactly what
     /// a full sort followed by `take(k)` would — at O(n + k log k)
     /// instead of O(n log n), which matters because the page manager
-    /// calls this on every epoch boundary.
-    pub fn hottest(&self, k: usize) -> Vec<PageId> {
+    /// ranks on every epoch boundary.
+    pub fn hottest_into(&self, k: usize, out: &mut Vec<(PageId, u64)>) {
+        out.clear();
         if k == 0 {
-            return Vec::new();
+            return;
         }
-        let mut v = self.ranked_entries();
-        if k < v.len() {
-            v.select_nth_unstable_by(k, hotter_first);
-            v.truncate(k);
+        self.rank_into(out);
+        if k < out.len() {
+            out.select_nth_unstable_by(k, hotter_first);
+            out.truncate(k);
         }
-        v.sort_unstable_by(hotter_first);
-        v.into_iter().map(|(p, _)| p).collect()
+        out.sort_unstable_by(hotter_first);
     }
 
-    /// All `(page, count)` entries, unordered — the input both ranking
-    /// entry points ([`Self::hottest`], [`Self::hottest_floor`]) feed
+    /// Replaces `buf`'s contents with every `(page, count)` entry,
+    /// unordered — the input both ranking entry points
+    /// ([`Self::hottest_into`], [`Self::hottest_floor`]) feed
     /// through [`hotter_first`], so the two stay ordering-consistent by
     /// construction.
-    fn ranked_entries(&self) -> Vec<(PageId, u64)> {
-        self.counts.iter().map(|(&p, &c)| (p, c)).collect()
+    fn rank_into(&self, buf: &mut Vec<(PageId, u64)>) {
+        buf.clear();
+        buf.extend(self.counts.iter().map(|(&p, &c)| (p, c)));
     }
 
     /// Access count of the `k`-th hottest page (the coldest page
     /// [`Self::hottest`]`(k)` would return), or 0 when nothing is
-    /// tracked. Exactly `hottest(k).last()`'s count — the demotion
-    /// cutoff — but via a quickselect alone, skipping the top-`k` sort
-    /// a full ranking pays.
-    pub fn hottest_floor(&self, k: usize) -> u64 {
+    /// tracked, ranking in the reused buffer `buf` (left holding
+    /// unspecified entries). Exactly `hottest(k).last()`'s count — the
+    /// demotion cutoff — but via a quickselect alone, skipping the
+    /// top-`k` sort a full ranking pays.
+    pub fn hottest_floor(&self, k: usize, buf: &mut Vec<(PageId, u64)>) -> u64 {
         if k == 0 || self.counts.is_empty() {
             return 0;
         }
-        let mut v = self.ranked_entries();
-        if k < v.len() {
-            let (_, kth, _) = v.select_nth_unstable_by(k - 1, hotter_first);
+        self.rank_into(buf);
+        if k < buf.len() {
+            let (_, kth, _) = buf.select_nth_unstable_by(k - 1, hotter_first);
             kth.1
         } else {
             // Fewer pages than k: the floor is the coldest tracked page.
-            v.iter()
+            buf.iter()
                 .min_by(|a, b| hotter_first(b, a))
                 .expect("non-empty")
                 .1
@@ -170,30 +181,15 @@ impl GlobalHotness {
     }
 
     /// Claims up to `hot_capacity` pages per host into Private Hot
-    /// Regions, hottest-first by each host's own heatmap; pages already
-    /// claimed by an earlier host are skipped and the host claims its
-    /// next candidate ("if a host identifies a page already designated as
-    /// a private hot page by another host, it selects its next most
-    /// frequently accessed page").
+    /// Regions and classifies every other observed page Public Cold.
+    /// The allocating form of [`Self::classify_into`].
     pub fn classify(&self, hot_capacity: usize) -> FastMap<PageId, PageClass> {
-        let mut out: FastMap<PageId, PageClass> = FastMap::default();
-        for (h, tracker) in self.hosts.iter().enumerate() {
-            let mut claimed = 0;
-            // The claim loop consumes at most `hot_capacity` fresh pages
-            // plus one skip per page an earlier host already claimed, so
-            // ranking that many candidates is exactly equivalent to
-            // ranking the host's whole heatmap.
-            for page in tracker.hottest(hot_capacity + out.len()) {
-                if claimed >= hot_capacity {
-                    break;
-                }
-                if out.contains_key(&page) {
-                    continue; // another host got here first
-                }
-                out.insert(page, PageClass::PrivateHot(h as u16));
-                claimed += 1;
-            }
-        }
+        let mut private = FastMap::default();
+        self.classify_into(hot_capacity, &mut Vec::new(), &mut private);
+        let mut out: FastMap<PageId, PageClass> = private
+            .into_iter()
+            .map(|(p, h)| (p, PageClass::PrivateHot(h)))
+            .collect();
         // Everything observed but unclaimed is public cold.
         for tracker in &self.hosts {
             for (page, _) in tracker.iter() {
@@ -203,29 +199,94 @@ impl GlobalHotness {
         out
     }
 
+    /// The claim pass of [`Self::classify`]: replaces `private` with the
+    /// Private Hot pages, each mapped to its claiming host, ranking in
+    /// the reused buffer `rank`. Claims up to `hot_capacity` pages per
+    /// host, hottest-first by each host's own heatmap; pages already
+    /// claimed by an earlier host are skipped and the host claims its
+    /// next candidate ("if a host identifies a page already designated
+    /// as a private hot page by another host, it selects its next most
+    /// frequently accessed page"). Public Cold pages are left out: they
+    /// are every tracked page not in `private`.
+    pub fn classify_into(
+        &self,
+        hot_capacity: usize,
+        rank: &mut Vec<(PageId, u64)>,
+        private: &mut FastMap<PageId, u16>,
+    ) {
+        private.clear();
+        for (h, tracker) in self.hosts.iter().enumerate() {
+            let mut claimed = 0;
+            // The claim loop consumes at most `hot_capacity` fresh pages
+            // plus one skip per page an earlier host already claimed, so
+            // ranking that many candidates is exactly equivalent to
+            // ranking the host's whole heatmap.
+            tracker.hottest_into(hot_capacity + private.len(), rank);
+            for &(page, _) in rank.iter() {
+                if claimed >= hot_capacity {
+                    break;
+                }
+                if private.contains_key(&page) {
+                    continue; // another host got here first
+                }
+                private.insert(page, h as u16);
+                claimed += 1;
+            }
+        }
+    }
+
     /// Cold-age reclassification (§IV-B2): returns the private-hot pages
     /// of `current` whose access frequency has dropped more than
     /// `cold_age_threshold` (e.g. 0.2) below the least-accessed page that
     /// *would* be claimed now. Those pages should be demoted to the
-    /// Public Cold Region.
+    /// Public Cold Region. The allocating form of
+    /// [`Self::demotions_into`].
     pub fn demotions(
         &self,
         current: &FastMap<PageId, PageClass>,
         hot_capacity: usize,
         cold_age_threshold: f64,
     ) -> Vec<PageId> {
+        let private: FastMap<PageId, u16> = current
+            .iter()
+            .filter_map(|(&p, &c)| match c {
+                PageClass::PrivateHot(h) => Some((p, h)),
+                PageClass::PublicCold => None,
+            })
+            .collect();
         let mut demote = Vec::new();
+        self.demotions_into(
+            &private,
+            hot_capacity,
+            cold_age_threshold,
+            &mut Vec::new(),
+            &mut demote,
+        );
+        demote
+    }
+
+    /// [`Self::demotions`] over a claim map from
+    /// [`Self::classify_into`]: replaces `out` with the pages to demote,
+    /// ascending, ranking in the reused buffer `rank`.
+    pub fn demotions_into(
+        &self,
+        private: &FastMap<PageId, u16>,
+        hot_capacity: usize,
+        cold_age_threshold: f64,
+        rank: &mut Vec<(PageId, u64)>,
+        out: &mut Vec<PageId>,
+    ) {
+        out.clear();
         for (h, tracker) in self.hosts.iter().enumerate() {
-            let floor = tracker.hottest_floor(hot_capacity);
+            let floor = tracker.hottest_floor(hot_capacity, rank);
             let cutoff = (floor as f64 * (1.0 - cold_age_threshold)).floor() as u64;
-            for (&page, &class) in current.iter() {
-                if class == PageClass::PrivateHot(h as u16) && tracker.count(page) < cutoff {
-                    demote.push(page);
+            for (&page, &owner) in private.iter() {
+                if owner == h as u16 && tracker.count(page) < cutoff {
+                    out.push(page);
                 }
             }
         }
-        demote.sort_unstable();
-        demote
+        out.sort_unstable();
     }
 }
 

@@ -44,6 +44,6 @@ pub mod tpp;
 pub use cost::{MigrationCostModel, MigrationGranularity};
 pub use hotness::{GlobalHotness, HotnessTracker, PageClass};
 pub use placement::InitialPlacement;
-pub use spread::{access_std_dev, rebalance, DeviceLoad, Migration, SpreadConfig};
+pub use spread::{access_std_dev, rebalance, rebalance_into, DeviceLoad, Migration, SpreadConfig};
 pub use table::{PageId, PageTable, Tier, TierCapacities, PAGE_BYTES};
 pub use tpp::TppPolicy;

@@ -82,6 +82,7 @@ impl InitialPlacement {
                 }
             }
         };
+        pt.reserve_pages(n_pages);
         let mut spill = 0u64;
         for i in 0..n_pages {
             let page = PageId(i);

@@ -68,30 +68,44 @@ impl DeviceLoad {
 /// `cfg.max_rounds`.
 ///
 /// Returns the migrations in execution order; `devices` is updated in
-/// place so callers can inspect the final distribution.
+/// place so callers can inspect the final distribution. The allocating
+/// form of [`rebalance_into`].
 pub fn rebalance(devices: &mut [DeviceLoad], cfg: &SpreadConfig) -> Vec<Migration> {
     let mut moves = Vec::new();
-    if devices.len() < 2 {
-        return moves;
+    rebalance_into(devices, cfg, &mut moves);
+    moves
+}
+
+/// [`rebalance`] into the reused buffer `moves` (replacing its
+/// contents), allocating nothing once `moves` and the devices' page
+/// lists have grown to their high-water marks.
+pub fn rebalance_into(devices: &mut [DeviceLoad], cfg: &SpreadConfig, moves: &mut Vec<Migration>) {
+    moves.clear();
+    let n = devices.len();
+    if n < 2 {
+        return;
     }
     for _ in 0..cfg.max_rounds {
-        let totals: Vec<u64> = devices.iter().map(DeviceLoad::total).collect();
-        let n = totals.len();
-        // Hottest device and the average of the *other* devices.
-        let (hot_idx, &hot_total) = totals
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &t)| (t, usize::MAX - i))
-            .expect("at least two devices");
-        let others_avg: f64 = (totals.iter().sum::<u64>() - hot_total) as f64 / (n as f64 - 1.0);
+        // Hottest device (lowest index on ties) and the average of the
+        // *other* devices.
+        let (mut hot_idx, mut hot_total, mut sum) = (0, 0u64, 0u64);
+        for (i, d) in devices.iter().enumerate() {
+            let t = d.total();
+            sum += t;
+            if i == 0 || t > hot_total {
+                (hot_idx, hot_total) = (i, t);
+            }
+        }
+        let others_avg: f64 = (sum - hot_total) as f64 / (n as f64 - 1.0);
         if (hot_total as f64) <= others_avg * (1.0 + cfg.migrate_threshold) || hot_total == 0 {
             break; // balanced enough
         }
-        let (cold_idx, &cold_total) = totals
+        let (cold_total, cold_idx) = devices
             .iter()
             .enumerate()
             .filter(|&(i, _)| i != hot_idx)
-            .min_by_key(|&(i, &t)| (t, i))
+            .map(|(i, d)| (d.total(), i))
+            .min()
             .expect("at least two devices");
 
         // Pick the page whose count best matches the ideal transfer
@@ -127,7 +141,6 @@ pub fn rebalance(devices: &mut [DeviceLoad], cfg: &SpreadConfig) -> Vec<Migratio
         }
         devices[cold_idx].pages.push((page, count));
     }
-    moves
 }
 
 /// Index of the page whose count is closest to `ideal` without making the

@@ -92,6 +92,11 @@ impl std::error::Error for CapacityError {}
 
 /// The placement table: which tier each page lives on.
 ///
+/// Placement is dense: a slot per page id, so [`Self::tier_of`] — which
+/// the pipeline calls on every lookup — is an index, not a hash probe.
+/// Page ids are expected to be compact (the initial placements lay out
+/// `0..n_pages`); placing page `p` sizes the table to `p + 1` slots.
+///
 /// # Examples
 ///
 /// ```
@@ -106,7 +111,9 @@ impl std::error::Error for CapacityError {}
 #[derive(Debug, Clone)]
 pub struct PageTable {
     caps: TierCapacities,
-    map: FastMap<PageId, Tier>,
+    /// Placement indexed by page id; `None` for an unplaced page.
+    slots: Vec<Option<Tier>>,
+    placed: u64,
     occupancy: FastMap<Tier, u64>,
     migrations: u64,
 }
@@ -116,15 +123,28 @@ impl PageTable {
     pub fn new(caps: TierCapacities) -> Self {
         PageTable {
             caps,
-            map: FastMap::default(),
+            slots: Vec::new(),
+            placed: 0,
             occupancy: FastMap::default(),
             migrations: 0,
         }
     }
 
+    /// Sizes the slot array for pages `0..n_pages` up front, so a
+    /// sequential layout grows it once.
+    pub(crate) fn reserve_pages(&mut self, n_pages: u64) {
+        let extra = (n_pages as usize).saturating_sub(self.slots.len());
+        self.slots.reserve_exact(extra);
+    }
+
     /// Tier currently holding `page`, if placed.
     pub fn tier_of(&self, page: PageId) -> Option<Tier> {
-        self.map.get(&page).copied()
+        self.slots.get(page.0 as usize).copied().flatten()
+    }
+
+    /// The slot of a placed page.
+    fn slot_mut(&mut self, page: PageId) -> &mut Option<Tier> {
+        &mut self.slots[page.0 as usize]
     }
 
     /// Places a previously unplaced page.
@@ -138,13 +158,18 @@ impl PageTable {
     /// Panics if the page is already placed (use [`PageTable::move_page`]).
     pub fn place(&mut self, page: PageId, tier: Tier) -> Result<(), CapacityError> {
         assert!(
-            !self.map.contains_key(&page),
+            self.tier_of(page).is_none(),
             "page {page:?} already placed; use move_page"
         );
         if self.occupancy(tier) >= self.caps.of(tier) {
             return Err(CapacityError { tier });
         }
-        self.map.insert(page, tier);
+        let i = page.0 as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        self.slots[i] = Some(tier);
+        self.placed += 1;
         *self.occupancy.entry(tier).or_insert(0) += 1;
         Ok(())
     }
@@ -170,7 +195,7 @@ impl PageTable {
         }
         *self.occupancy.entry(from).or_insert(1) -= 1;
         *self.occupancy.entry(to).or_insert(0) += 1;
-        self.map.insert(page, to);
+        *self.slot_mut(page) = Some(to);
         self.migrations += 1;
         Ok(())
     }
@@ -187,8 +212,8 @@ impl PageTable {
         if ta == tb {
             return;
         }
-        self.map.insert(a, tb);
-        self.map.insert(b, ta);
+        *self.slot_mut(a) = Some(tb);
+        *self.slot_mut(b) = Some(ta);
         self.migrations += 2;
     }
 
@@ -199,7 +224,7 @@ impl PageTable {
 
     /// Total pages placed.
     pub fn placed(&self) -> u64 {
-        self.map.len() as u64
+        self.placed
     }
 
     /// Total page migrations performed.
@@ -212,9 +237,12 @@ impl PageTable {
         &self.caps
     }
 
-    /// Iterates over all placements.
+    /// Iterates over all placements, page-id ascending.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, Tier)> + '_ {
-        self.map.iter().map(|(&p, &t)| (p, t))
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.map(|t| (PageId(i as u64), t)))
     }
 }
 
@@ -286,6 +314,18 @@ mod tests {
         let mut pt = PageTable::new(caps());
         pt.place(PageId(0), Tier::Local).unwrap();
         let _ = pt.place(PageId(0), Tier::Remote);
+    }
+
+    #[test]
+    fn iteration_is_page_id_ascending_and_skips_holes() {
+        let mut pt = PageTable::new(caps());
+        pt.place(PageId(3), Tier::Cxl(1)).unwrap();
+        pt.place(PageId(0), Tier::Local).unwrap();
+        assert_eq!(pt.tier_of(PageId(1)), None);
+        assert_eq!(pt.tier_of(PageId(99)), None);
+        assert_eq!(pt.placed(), 2);
+        let all: Vec<_> = pt.iter().collect();
+        assert_eq!(all, [(PageId(0), Tier::Local), (PageId(3), Tier::Cxl(1))]);
     }
 
     #[test]

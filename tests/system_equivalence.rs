@@ -227,3 +227,160 @@ fn multi_switch_switch_path_is_pinned_bit_exactly() {
         );
     }
 }
+
+#[test]
+fn page_management_epochs_are_pinned_bit_exactly() {
+    // The batch-boundary page manager, bit for bit, on two hosts over
+    // twelve epochs (three of them spreading): Pond+PM and PIFS-Rec
+    // with cache-line and page-block migration, PIFS-Rec under the
+    // TPP-style policy, and PIFS-Rec from a device-blocked placement
+    // (the Fig 10(b) hotspot that spreading repairs). The final
+    // placement is pinned per tier as (pages, sum of page ids), so a
+    // change in which pages an epoch picks shows even when the counts
+    // balance out.
+    use pifs_rec::pagemgmt::{InitialPlacement, MigrationGranularity, Tier};
+    use pifs_rec::pifs_core::system::PmStyle;
+    // (label, migrations, migration_ns, checksum bits, local/remote/cxl
+    // lookups, final placement on [local, remote, cxl 0, cxl 1, ...])
+    type Pin = (&'static str, u64, u64, u64, [u64; 3], &'static [(u64, u64)]);
+    // The four PIFS-policy runs from the 4:1 interleave end on the same
+    // placement: their epochs pick the same pages.
+    const CXL_FRACTION_END: &[(u64, u64)] = &[
+        (205, 116819),
+        (0, 0),
+        (102, 50471),
+        (103, 49752),
+        (102, 51897),
+        (103, 49147),
+        (102, 51855),
+        (102, 50477),
+        (103, 52422),
+        (102, 50936),
+    ];
+    const PINNED: [Pin; 6] = [
+        (
+            "pond_pm/cache_line",
+            504,
+            6048,
+            0x40d1c7a4cf280000,
+            [6350, 0, 5938],
+            CXL_FRACTION_END,
+        ),
+        (
+            "pond_pm/page_block",
+            504,
+            1137024,
+            0x40d1c7a4cf280000,
+            [6350, 0, 5938],
+            CXL_FRACTION_END,
+        ),
+        (
+            "pifs_rec/cache_line",
+            504,
+            6048,
+            0x40d1c7a4cf510000,
+            [6350, 0, 5938],
+            CXL_FRACTION_END,
+        ),
+        (
+            "pifs_rec/page_block",
+            504,
+            1137024,
+            0x40d1c7a4cf510000,
+            [6350, 0, 5938],
+            CXL_FRACTION_END,
+        ),
+        (
+            "pifs_rec/tpp",
+            1536,
+            18432,
+            0x40d1c7a4cf150000,
+            [6665, 0, 5623],
+            &[
+                (205, 113548),
+                (0, 0),
+                (102, 53591),
+                (103, 47890),
+                (102, 51134),
+                (103, 49012),
+                (102, 51746),
+                (102, 50934),
+                (103, 51574),
+                (102, 54347),
+            ],
+        ),
+        (
+            "pifs_rec/blocked",
+            351,
+            4212,
+            0x40d1c7a4cf160000,
+            [5779, 0, 6509],
+            &[
+                (205, 111134),
+                (0, 0),
+                (103, 8599),
+                (101, 20566),
+                (96, 31032),
+                (104, 45705),
+                (99, 56101),
+                (106, 68827),
+                (104, 83057),
+                (106, 98755),
+            ],
+        ),
+    ];
+    let t = trace(12, 16, 137);
+    for (label, migrations, migration_ns, checksum_bits, split, placement) in PINNED {
+        let mut cfg = if label.starts_with("pond_pm") {
+            Cfg::pond_pm(model())
+        } else {
+            Cfg::pifs_rec(model())
+        };
+        cfg.n_hosts = 2;
+        if label.ends_with("blocked") {
+            cfg.placement = InitialPlacement::AllCxlBlocked {
+                total_pages: cfg.n_pages(),
+            };
+        }
+        let pm = cfg.page_mgmt.as_mut().expect("page management on");
+        if label.ends_with("page_block") {
+            pm.granularity = MigrationGranularity::PageBlock;
+        }
+        if label.ends_with("tpp") {
+            pm.style = PmStyle::Tpp;
+        }
+        let mut sys = SlsSystem::new(cfg);
+        let m = sys.run_trace(&t);
+        let pt = sys.page_table();
+        let final_placement: Vec<(u64, u64)> = [Tier::Local, Tier::Remote]
+            .into_iter()
+            .chain((0..pt.capacities().n_cxl).map(Tier::Cxl))
+            .map(|tier| {
+                let id_sum = pt
+                    .iter()
+                    .filter(|&(_, t)| t == tier)
+                    .map(|(p, _)| p.0)
+                    .sum();
+                (pt.occupancy(tier), id_sum)
+            })
+            .collect();
+        let got = (
+            m.migrations,
+            m.migration_ns,
+            m.checksum.to_bits(),
+            [m.local_lookups, m.remote_lookups, m.cxl_lookups],
+            final_placement,
+        );
+        assert_eq!(
+            got,
+            (
+                migrations,
+                migration_ns,
+                checksum_bits,
+                split,
+                placement.to_vec()
+            ),
+            "{label}"
+        );
+    }
+}
