@@ -44,12 +44,16 @@ pub struct OnSwitchBuffer {
     policy: BufferPolicy,
     capacity_rows: usize,
     capacity_bytes: u64,
-    /// Resident rows → recency stamp (LRU) / insertion order (FIFO).
-    resident: FastMap<u64, u64>,
-    /// FIFO order queue.
-    fifo: VecDeque<u64>,
-    /// HTR address profiler: frequency of *every* observed row.
+    /// HTR address profiler: frequency of *every* observed row, with
+    /// [`RESIDENT`] set while the row is cached, so one probe answers
+    /// both "how hot" and "is it resident".
     profiler: FastMap<u64, u64>,
+    /// Rows with [`RESIDENT`] set.
+    resident: usize,
+    /// LRU only: resident row → recency stamp.
+    stamps: FastMap<u64, u64>,
+    /// FIFO only: resident rows in insertion order.
+    fifo: VecDeque<u64>,
     /// Lazy min-heap of `(rank, key)` eviction candidates, where rank is
     /// the profiled frequency (HTR) or the recency stamp (LRU). Ranks
     /// only ever grow, so a popped entry whose rank no longer matches the
@@ -61,6 +65,10 @@ pub struct OnSwitchBuffer {
     hits: u64,
     misses: u64,
 }
+
+/// Residency flag in a profiler count. A row would need 2^63 accesses
+/// for its count to reach it.
+const RESIDENT: u64 = 1 << 63;
 
 impl OnSwitchBuffer {
     /// Creates a buffer of `capacity_bytes` SRAM caching rows of
@@ -79,9 +87,10 @@ impl OnSwitchBuffer {
             policy,
             capacity_rows,
             capacity_bytes,
-            resident: FastMap::default(),
-            fifo: VecDeque::new(),
             profiler: FastMap::default(),
+            resident: 0,
+            stamps: FastMap::default(),
+            fifo: VecDeque::new(),
             coldest: BinaryHeap::new(),
             clock: 0,
             hits: 0,
@@ -94,16 +103,18 @@ impl OnSwitchBuffer {
     /// row for admission per the policy.
     pub fn access(&mut self, key: u64) -> bool {
         self.clock += 1;
-        *self.profiler.entry(key).or_insert(0) += 1;
-        if self.resident.contains_key(&key) {
+        let count = self.profiler.entry(key).or_insert(0);
+        *count += 1;
+        let count = *count;
+        if count & RESIDENT != 0 {
             self.hits += 1;
             if self.policy == BufferPolicy::Lru {
-                self.resident.insert(key, self.clock);
+                self.stamps.insert(key, self.clock);
             }
             return true;
         }
         self.misses += 1;
-        self.admit(key);
+        self.admit(key, count);
         false
     }
 
@@ -114,35 +125,81 @@ impl OnSwitchBuffer {
     fn rank_of(&self, key: u64) -> Option<u64> {
         match self.policy {
             BufferPolicy::Htr => self
-                .resident
-                .contains_key(&key)
-                .then(|| self.profiler.get(&key).copied().unwrap_or(0)),
-            BufferPolicy::Lru => self.resident.get(&key).copied(),
+                .profiler
+                .get(&key)
+                .filter(|&&c| c & RESIDENT != 0)
+                .map(|&c| c & !RESIDENT),
+            BufferPolicy::Lru => self.stamps.get(&key).copied(),
             BufferPolicy::Fifo => None,
         }
     }
 
-    /// Pops the coldest resident `(rank, key)` — the same `(rank, key)`
-    /// minimum a full scan of `resident` would find — discarding entries
-    /// for evicted keys and re-pushing entries whose rank went stale.
-    fn pop_coldest(&mut self) -> Option<(u64, u64)> {
-        while let Some(Reverse((rank, key))) = self.coldest.pop() {
+    /// Brings the coldest resident `(rank, key)` — the same `(rank, key)`
+    /// minimum a full scan of the residents would find — to the top of
+    /// the heap and returns it, discarding entries for evicted keys and
+    /// refreshing entries whose rank went stale. The entry stays in the
+    /// heap: a victim that survives costs no pop and re-push.
+    fn peek_coldest(&mut self) -> Option<(u64, u64)> {
+        loop {
+            let &Reverse((rank, key)) = self.coldest.peek()?;
             match self.rank_of(key) {
                 Some(cur) if cur == rank => return Some((rank, key)),
                 Some(cur) => {
                     debug_assert!(cur > rank, "ranks must be monotonic");
-                    self.coldest.push(Reverse((cur, key)));
+                    self.replace_coldest(Reverse((cur, key)));
                 }
-                None => {} // evicted since it was pushed
+                None => {
+                    // Evicted since it was pushed.
+                    self.coldest.pop();
+                }
             }
         }
-        None
     }
 
-    fn admit(&mut self, key: u64) {
-        if self.resident.len() < self.capacity_rows {
-            self.resident.insert(key, self.clock);
-            self.fifo.push_back(key);
+    /// Caches the profiled row `key`.
+    fn insert(&mut self, key: u64) {
+        *self
+            .profiler
+            .get_mut(&key)
+            .expect("accessed rows are profiled") |= RESIDENT;
+        self.resident += 1;
+        match self.policy {
+            BufferPolicy::Htr => {}
+            BufferPolicy::Lru => {
+                self.stamps.insert(key, self.clock);
+            }
+            BufferPolicy::Fifo => self.fifo.push_back(key),
+        }
+    }
+
+    /// Drops `key` from the cache; returns whether it was resident.
+    fn evict(&mut self, key: u64) -> bool {
+        let count = self
+            .profiler
+            .get_mut(&key)
+            .expect("cached rows are profiled");
+        if *count & RESIDENT == 0 {
+            return false;
+        }
+        *count &= !RESIDENT;
+        self.resident -= 1;
+        if self.policy == BufferPolicy::Lru {
+            self.stamps.remove(&key);
+        }
+        true
+    }
+
+    /// Replaces the heap's top entry with `entry`: one sift instead of a
+    /// pop and a push, leaving the same multiset of entries and so the
+    /// same pop order.
+    fn replace_coldest(&mut self, entry: Reverse<(u64, u64)>) {
+        *self.coldest.peek_mut().expect("the heap has a top entry") = entry;
+    }
+
+    /// Considers missed row `key`, profiled `freq` times, for admission.
+    fn admit(&mut self, key: u64, freq: u64) {
+        if self.resident < self.capacity_rows {
+            self.insert(key);
             if let Some(rank) = self.rank_of(key) {
                 self.coldest.push(Reverse((rank, key)));
             }
@@ -152,33 +209,31 @@ impl OnSwitchBuffer {
             BufferPolicy::Htr => {
                 // Admit only if this row is now hotter than the coldest
                 // resident row (by profiled frequency).
-                let new_freq = self.profiler[&key];
-                if let Some((victim_freq, victim)) = self.pop_coldest() {
-                    if new_freq > victim_freq {
-                        self.resident.remove(&victim);
-                        self.resident.insert(key, self.clock);
-                        self.coldest.push(Reverse((new_freq, key)));
-                    } else {
-                        // The coldest resident survives; keep its entry.
-                        self.coldest.push(Reverse((victim_freq, victim)));
+                if let Some((victim_freq, victim)) = self.peek_coldest() {
+                    if freq > victim_freq {
+                        self.evict(victim);
+                        self.insert(key);
+                        self.replace_coldest(Reverse((freq, key)));
                     }
                 }
             }
             BufferPolicy::Lru => {
-                if let Some((_, victim)) = self.pop_coldest() {
-                    self.resident.remove(&victim);
+                let entry = Reverse((self.clock, key));
+                if let Some((_, victim)) = self.peek_coldest() {
+                    self.evict(victim);
+                    self.replace_coldest(entry);
+                } else {
+                    self.coldest.push(entry);
                 }
-                self.resident.insert(key, self.clock);
-                self.coldest.push(Reverse((self.clock, key)));
+                self.insert(key);
             }
             BufferPolicy::Fifo => {
                 while let Some(v) = self.fifo.pop_front() {
-                    if self.resident.remove(&v).is_some() {
+                    if self.evict(v) {
                         break;
                     }
                 }
-                self.resident.insert(key, self.clock);
-                self.fifo.push_back(key);
+                self.insert(key);
             }
         }
     }
@@ -216,12 +271,12 @@ impl OnSwitchBuffer {
 
     /// Resident rows.
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.resident
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.resident == 0
     }
 
     /// The configured policy.
@@ -234,6 +289,7 @@ impl OnSwitchBuffer {
 mod tests {
     use super::*;
     use simkit::DetRng;
+    use std::collections::HashMap;
 
     #[test]
     fn capacity_is_respected() {
@@ -315,6 +371,83 @@ mod tests {
         let fifo = run(BufferPolicy::Fifo);
         assert!(htr > lru, "htr={htr:.3} lru={lru:.3}");
         assert!(htr > fifo, "htr={htr:.3} fifo={fifo:.3}");
+    }
+
+    /// The replacement rules by full scan: no heap, no flags.
+    struct Oracle {
+        policy: BufferPolicy,
+        capacity_rows: usize,
+        freq: HashMap<u64, u64>,
+        /// Resident row → recency stamp (LRU) or admission stamp (FIFO).
+        resident: HashMap<u64, u64>,
+        clock: u64,
+    }
+
+    impl Oracle {
+        fn access(&mut self, key: u64) -> bool {
+            self.clock += 1;
+            *self.freq.entry(key).or_insert(0) += 1;
+            if self.resident.contains_key(&key) {
+                if self.policy == BufferPolicy::Lru {
+                    self.resident.insert(key, self.clock);
+                }
+                return true;
+            }
+            if self.resident.len() < self.capacity_rows {
+                self.resident.insert(key, self.clock);
+                return false;
+            }
+            let rank = |k: u64, stamp: u64| match self.policy {
+                BufferPolicy::Htr => (self.freq[&k], k),
+                BufferPolicy::Lru | BufferPolicy::Fifo => (stamp, k),
+            };
+            let (victim_rank, victim) = self
+                .resident
+                .iter()
+                .map(|(&k, &stamp)| (rank(k, stamp), k))
+                .min()
+                .expect("a full buffer has residents");
+            if self.policy != BufferPolicy::Htr || self.freq[&key] > victim_rank.0 {
+                self.resident.remove(&victim);
+                self.resident.insert(key, self.clock);
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn matches_a_full_scan_oracle() {
+        let mut rng = DetRng::new(2024);
+        for policy in [BufferPolicy::Htr, BufferPolicy::Lru, BufferPolicy::Fifo] {
+            for capacity_rows in 1..=16u64 {
+                // Skewed keys: a hot head over a wider cold tail, with
+                // the skew varying per stream.
+                let hot = 1 + capacity_rows / 2;
+                let hot_frac = rng.unit_f64();
+                let mut buf = OnSwitchBuffer::new(policy, capacity_rows * 256, 256);
+                let mut oracle = Oracle {
+                    policy,
+                    capacity_rows: capacity_rows as usize,
+                    freq: HashMap::new(),
+                    resident: HashMap::new(),
+                    clock: 0,
+                };
+                let mut oracle_hits = 0u64;
+                for i in 0..4_000 {
+                    let key = if rng.unit_f64() < hot_frac {
+                        rng.below(hot)
+                    } else {
+                        rng.below(8 * capacity_rows + 32)
+                    };
+                    let ctx = format!("{policy:?} rows={capacity_rows} access {i} key {key}");
+                    let hit = oracle.access(key);
+                    oracle_hits += hit as u64;
+                    assert_eq!(buf.access(key), hit, "{ctx}");
+                    assert_eq!(buf.len(), oracle.resident.len(), "{ctx}");
+                }
+                assert_eq!(buf.hit_ratio(), oracle_hits as f64 / oracle.clock as f64);
+            }
+        }
     }
 
     #[test]

@@ -85,18 +85,21 @@ impl AddressMapping {
 ///
 /// [`AddressMapping::decode`] re-derives every divisor from the
 /// organization on each call and pays a hardware divide per level of the
-/// hierarchy. The device front-end instead builds a `LineDecoder` once:
-/// when every divisor is a power of two (true of every stock
-/// organization) the whole decode chain collapses to shifts and masks,
-/// and otherwise it falls back to the reference path. Both paths produce
+/// hierarchy. The device front-end instead builds a `LineDecoder` once.
+/// The fast path needs a power-of-two capacity, row size, bank count and
+/// rank count, which collapse to shifts and masks. The channel count may
+/// be anything: a power of two is a shift, and any other count (the
+/// 12-channel host DRAM) is a multiply by a precomputed reciprocal, exact
+/// whenever every line index is below 2^32 (capacity ≤ 256 GiB). Any
+/// other organization takes the reference path. Both paths produce
 /// bit-identical [`Location`]s — `decode_is_cached_exactly` in the tests
 /// below sweeps both mappings against the reference.
 #[derive(Debug, Clone, Copy)]
 pub struct LineDecoder {
     mapping: AddressMapping,
     org: DramOrg,
-    /// Shift/mask constants, present only when every divisor is a power
-    /// of two.
+    /// Shift/mask constants, present only when the organization fits the
+    /// fast path.
     fast: Option<DecodeShifts>,
 }
 
@@ -104,9 +107,8 @@ pub struct LineDecoder {
 struct DecodeShifts {
     /// `log2(capacity_bytes)` wrap mask.
     cap_mask: u64,
-    /// `log2(channels)` / its mask.
-    ch_shift: u32,
-    ch_mask: u64,
+    /// Division by the channel count.
+    ch: ChannelDiv,
     /// `log2(lines_per_row)`.
     lpr_shift: u32,
     /// `log2(banks)` / its mask.
@@ -117,27 +119,70 @@ struct DecodeShifts {
     ra_mask: u64,
 }
 
+/// Quotient and remainder by the channel count, without a divide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChannelDiv {
+    /// A power-of-two count: `n >> shift`, `n & mask`.
+    Shift { shift: u32, mask: u64 },
+    /// Any other count `d`, for dividends below 2^32: `m = ⌈2^64 / d⌉`
+    /// and `n / d = (m · n) >> 64` exactly (Lemire, Kaser & Kurz,
+    /// "Faster Remainder by Direct Computation", 2019, Theorem 1 with
+    /// N = 32, F = 64).
+    Reciprocal { d: u64, m: u64 },
+}
+
+impl ChannelDiv {
+    fn new(channels: u32) -> Self {
+        let d = channels as u64;
+        if d.is_power_of_two() {
+            ChannelDiv::Shift {
+                shift: d.trailing_zeros(),
+                mask: d - 1,
+            }
+        } else {
+            // `d` is not a power of two, so it does not divide 2^64 and
+            // ⌈2^64 / d⌉ = ⌊(2^64 − 1) / d⌋ + 1.
+            ChannelDiv::Reciprocal {
+                d,
+                m: u64::MAX / d + 1,
+            }
+        }
+    }
+
+    /// `(n / d, n % d)`. `n` must be below 2^32 on the reciprocal path.
+    #[inline]
+    fn div_rem(self, n: u64) -> (u64, u64) {
+        match self {
+            ChannelDiv::Shift { shift, mask } => (n >> shift, n & mask),
+            ChannelDiv::Reciprocal { d, m } => {
+                debug_assert!(n < 1 << 32, "reciprocal divide needs a 32-bit dividend");
+                let q = ((m as u128 * n as u128) >> 64) as u64;
+                (q, n - q * d)
+            }
+        }
+    }
+}
+
 impl LineDecoder {
     /// Builds the decoder for `mapping` over `org`.
     pub fn new(mapping: AddressMapping, org: DramOrg) -> Self {
         let cap = org.capacity_bytes.max(1);
         let lpr = (org.row_bytes / 64).max(1);
         let pow2 = |x: u64| x.is_power_of_two();
-        let fast = (pow2(cap)
-            && pow2(org.channels as u64)
-            && pow2(lpr)
-            && pow2(org.banks as u64)
-            && pow2(org.ranks as u64))
-        .then(|| DecodeShifts {
-            cap_mask: cap - 1,
-            ch_shift: (org.channels as u64).trailing_zeros(),
-            ch_mask: org.channels as u64 - 1,
-            lpr_shift: lpr.trailing_zeros(),
-            ba_shift: (org.banks as u64).trailing_zeros(),
-            ba_mask: org.banks as u64 - 1,
-            ra_shift: (org.ranks as u64).trailing_zeros(),
-            ra_mask: org.ranks as u64 - 1,
-        });
+        // Every line index is at most (cap − 1) / 64, below 2^32 when
+        // cap ≤ 2^38: the reciprocal's exactness condition.
+        let ch_fits = org.channels > 0 && (pow2(org.channels as u64) || cap <= 1 << 38);
+        let fast =
+            (pow2(cap) && ch_fits && pow2(lpr) && pow2(org.banks as u64) && pow2(org.ranks as u64))
+                .then(|| DecodeShifts {
+                    cap_mask: cap - 1,
+                    ch: ChannelDiv::new(org.channels),
+                    lpr_shift: lpr.trailing_zeros(),
+                    ba_shift: (org.banks as u64).trailing_zeros(),
+                    ba_mask: org.banks as u64 - 1,
+                    ra_shift: (org.ranks as u64).trailing_zeros(),
+                    ra_mask: org.ranks as u64 - 1,
+                });
         LineDecoder { mapping, org, fast }
     }
 
@@ -150,13 +195,12 @@ impl LineDecoder {
         let line = (addr & s.cap_mask) >> 6;
         let (channel, rest) = match self.mapping {
             AddressMapping::CacheLineInterleave => {
-                let channel = line & s.ch_mask;
-                let rest = (line >> s.ch_shift) >> s.lpr_shift;
-                (channel, rest)
+                let (rest, channel) = s.ch.div_rem(line);
+                (channel, rest >> s.lpr_shift)
             }
             AddressMapping::RowInterleave => {
-                let rest = line >> s.lpr_shift;
-                (rest & s.ch_mask, rest >> s.ch_shift)
+                let (rest, channel) = s.ch.div_rem(line >> s.lpr_shift);
+                (channel, rest)
             }
         };
         Location {
@@ -230,27 +274,89 @@ mod tests {
         }
     }
 
+    /// Which decode path `d` takes.
+    fn path(d: &LineDecoder) -> &'static str {
+        match d.fast.map(|s| s.ch) {
+            None => "reference",
+            Some(ChannelDiv::Shift { .. }) => "shift",
+            Some(ChannelDiv::Reciprocal { .. }) => "reciprocal",
+        }
+    }
+
     #[test]
     fn decode_is_cached_exactly() {
         // The precomputed decoder must agree with the reference decode
-        // bit-for-bit, on both mappings, for pow2 and non-pow2 layouts.
+        // bit-for-bit, on both mappings, on every path it can take.
         let non_pow2 = DramOrg {
             channels: 3,
             ..org()
         };
-        for o in [org(), non_pow2] {
+        // The scaled host DRAM: 12 channels over 256 GiB, so its last
+        // line index is 2^32 − 1.
+        let host = DramOrg {
+            channels: 12,
+            ..DramOrg::table2_local()
+        };
+        assert_eq!(host.capacity_bytes, 1 << 38);
+        // One capacity step past that, a line index no longer fits in
+        // 32 bits and a non-pow2 channel count must divide for real; so
+        // must a non-pow2 bank count at any capacity.
+        let too_big = DramOrg {
+            capacity_bytes: 1 << 39,
+            ..host
+        };
+        let odd_banks = DramOrg { banks: 12, ..org() };
+        let cases = [
+            (org(), "shift"),
+            (non_pow2, "reciprocal"),
+            (host, "reciprocal"),
+            (too_big, "reference"),
+            (odd_banks, "reference"),
+        ];
+        for (o, want) in cases {
             for m in [
                 AddressMapping::CacheLineInterleave,
                 AddressMapping::RowInterleave,
             ] {
                 let d = LineDecoder::new(m, o);
                 assert_eq!(d.mapping(), m);
+                assert_eq!(path(&d), want, "{o:?}");
                 let mut addr = 0u64;
                 for i in 0..50_000u64 {
                     // Stride through lines, odd offsets, and wraps.
                     addr = addr.wrapping_mul(6364136223846793005).wrapping_add(i);
                     assert_eq!(d.decode(addr), m.decode(addr, &o), "addr {addr:#x}");
                 }
+                // The top of the address space: the last lines below
+                // capacity (line index 2^32 − 1 on the host) and the
+                // wrap just past it.
+                let cap = o.capacity_bytes;
+                for addr in (cap - 64 * 64..cap + 64 * 64).step_by(61) {
+                    assert_eq!(d.decode(addr), m.decode(addr, &o), "addr {addr:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_divide_is_exact_below_2_pow_32() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for d in (3u32..2_000).chain([12, 1_000_003, u32::MAX - 1, u32::MAX]) {
+            let div = ChannelDiv::new(d);
+            if d.is_power_of_two() {
+                assert!(matches!(div, ChannelDiv::Shift { .. }));
+                continue;
+            }
+            let d64 = d as u64;
+            let edges = [0, 1, d64 - 1, d64, d64 + 1, (1 << 32) - 1, (1 << 32) - d64];
+            let random = (0..200).map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng >> 32
+            });
+            for n in edges.into_iter().filter(|&n| n < 1 << 32).chain(random) {
+                assert_eq!(div.div_rem(n), (n / d64, n % d64), "{n} / {d}");
             }
         }
     }

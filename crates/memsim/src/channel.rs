@@ -1,8 +1,6 @@
 //! One DRAM channel: banks, rank-level activate limits, the shared data
 //! bus, and refresh.
 
-use std::collections::VecDeque;
-
 use simkit::{SimDuration, SimTime};
 
 use crate::addrmap::Location;
@@ -55,16 +53,14 @@ pub struct Channel {
     /// data is ready early may claim one instead of queueing at
     /// `bus_free` — the reordering freedom an FR-FCFS controller has,
     /// without which one bank-conflicted request head-of-line-blocks
-    /// every later burst. A capacity-bounded ring: the scan in
-    /// `claim_bus` walks it oldest-first exactly as the original flat
-    /// vec did, but evicting the oldest gap is an O(1) `pop_front`, and
-    /// the steady state allocates nothing.
-    free_gaps: VecDeque<(SimTime, SimTime)>,
-    /// Upper bound on every recorded gap's end time (only ever ratcheted
-    /// up). When `earliest + burst` exceeds it no gap can possibly fit,
-    /// so `claim_bus` skips the scan — the common case once simulated
-    /// time has advanced past the recorded windows.
-    max_gap_end: SimTime,
+    /// every later burst. The live gaps are `free_gaps[gaps_head..]`,
+    /// one contiguous slice for `claim_bus` to search. Evicting the
+    /// oldest gap advances `gaps_head`; the dead prefix is dropped only
+    /// when a new gap would otherwise grow the buffer, so eviction is
+    /// amortized O(1) and the steady state allocates nothing.
+    free_gaps: Vec<(SimTime, SimTime)>,
+    /// Index of the oldest live gap in `free_gaps`.
+    gaps_head: usize,
     /// Accumulated statistics.
     pub stats: ChannelStats,
 }
@@ -118,8 +114,8 @@ impl Channel {
             ranks,
             org,
             bus_free: SimTime::ZERO,
-            free_gaps: VecDeque::with_capacity(MAX_GAPS),
-            max_gap_end: SimTime::ZERO,
+            free_gaps: Vec::with_capacity(MAX_GAPS),
+            gaps_head: 0,
             stats: ChannelStats::default(),
         }
     }
@@ -128,17 +124,19 @@ impl Channel {
     /// `earliest`; prefers filling a recorded idle gap, else queues at
     /// the end of the bus schedule.
     fn claim_bus(&mut self, earliest: SimTime, burst: SimDuration) -> SimTime {
-        if earliest + burst <= self.max_gap_end {
-            // The gaps are pairwise disjoint and sorted ascending (each
-            // new gap opens at the previous bus-free point, and splits
-            // insert in place), so every gap ending before
-            // `earliest + burst` is unclaimable for this burst and the
-            // oldest-first scan may start at the first one ending on or
-            // after it — found by binary search instead of walking the
-            // dead prefix. Selection is identical to the full scan.
-            let from = self
-                .free_gaps
-                .partition_point(|&(_, ge)| ge < earliest + burst);
+        // The gaps are pairwise disjoint and sorted ascending (each new
+        // gap opens at the previous bus-free point, and splits insert in
+        // place), so every gap ending before `earliest + burst` is
+        // unclaimable for this burst. When the newest gap ends before it,
+        // no gap fits and the scan is skipped — the common case once
+        // simulated time has advanced past the recorded windows.
+        let live = &self.free_gaps[self.gaps_head..];
+        if live.last().is_some_and(|&(_, ge)| earliest + burst <= ge) {
+            // The oldest-first scan may start at the first gap ending on
+            // or after `earliest + burst` — found by binary search
+            // instead of walking the dead prefix. Selection is identical
+            // to the full scan.
+            let from = self.gaps_head + live.partition_point(|&(_, ge)| ge < earliest + burst);
             for i in from..self.free_gaps.len() {
                 let (gs, ge) = self.free_gaps[i];
                 let start = gs.max(earliest);
@@ -146,7 +144,7 @@ impl Channel {
                     // Split the gap around the claimed slot. The common
                     // case (claim from the gap's front, remainder
                     // survives) edits the slot in place; only a mid-gap
-                    // split shifts ring entries.
+                    // split shifts later entries.
                     if start == gs {
                         if start + burst < ge {
                             self.free_gaps[i] = (start + burst, ge);
@@ -156,7 +154,8 @@ impl Channel {
                     } else {
                         self.free_gaps[i] = (gs, start);
                         if start + burst < ge {
-                            self.free_gaps.insert(i + 1, (start + burst, ge));
+                            let at = i + 1 - self.make_room();
+                            self.free_gaps.insert(at, (start + burst, ge));
                         }
                     }
                     return start;
@@ -165,14 +164,27 @@ impl Channel {
         }
         let start = earliest.max(self.bus_free);
         if start > self.bus_free {
-            self.free_gaps.push_back((self.bus_free, start));
-            self.max_gap_end = self.max_gap_end.max(start);
-            while self.free_gaps.len() > MAX_GAPS {
-                self.free_gaps.pop_front();
-            }
+            self.make_room();
+            self.free_gaps.push((self.bus_free, start));
+            let live = self.free_gaps.len() - self.gaps_head;
+            self.gaps_head += live.saturating_sub(MAX_GAPS);
         }
         self.bus_free = start + burst;
         start
+    }
+
+    /// Makes room for one more gap without growing `free_gaps` while
+    /// evicted gaps still occupy its front: drops them and returns how
+    /// far the live gaps moved down. Grows only when every slot is live.
+    fn make_room(&mut self) -> usize {
+        let dead = self.gaps_head;
+        if self.free_gaps.len() == self.free_gaps.capacity() && dead > 0 {
+            self.free_gaps.drain(..dead);
+            self.gaps_head = 0;
+            dead
+        } else {
+            0
+        }
     }
 
     fn bank_index(&self, loc: &Location) -> usize {
@@ -377,6 +389,32 @@ mod tests {
         assert_eq!(ch.stats.writes, 1);
         assert_eq!(ch.stats.reads, 1);
         assert_eq!(ch.stats.bytes, 128);
+    }
+
+    #[test]
+    fn gap_buffer_stays_bounded() {
+        // Scattered arrivals open and split many bus gaps; evicted gaps
+        // are compacted away instead of growing the buffer.
+        let tt = t();
+        let mut ch = Channel::new(DramOrg { banks: 8, ..org() });
+        let mut x = 1u64;
+        let mut max_live = 0;
+        for i in 0..50_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let now = SimTime::from_ns(i * 20 + (x >> 54));
+            ch.access(
+                now,
+                &loc((x >> 20) as u32 % 8, (x >> 40) % 4),
+                MemOp::Read,
+                &tt,
+            );
+            max_live = max_live.max(ch.free_gaps.len() - ch.gaps_head);
+        }
+        // The stream filled the ring past MAX_GAPS, so eviction ran.
+        assert!(max_live > MAX_GAPS, "max_live={max_live}");
+        assert!(ch.free_gaps.capacity() <= 2 * MAX_GAPS);
     }
 
     #[test]

@@ -38,16 +38,19 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates an instant `ns` nanoseconds after the origin.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// Returns the instant as nanoseconds since the origin.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// Returns the later of `self` and `other`.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
@@ -57,6 +60,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is after `self`.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         assert!(
             earlier.0 <= self.0,
@@ -67,6 +71,7 @@ impl SimTime {
 
     /// Returns the duration from `earlier` to `self`, or zero if `earlier`
     /// is after `self`.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -77,27 +82,32 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a duration of `ns` nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimDuration(ns)
     }
 
     /// Creates a duration of `us` microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         SimDuration(us * 1_000)
     }
 
     /// Creates a duration from a picosecond count, rounding up to the next
     /// whole nanosecond (DRAM datasheets quote tCK in picoseconds).
+    #[inline]
     pub const fn from_ps_ceil(ps: u64) -> Self {
         SimDuration(ps.div_ceil(1000))
     }
 
     /// Returns the duration in nanoseconds.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// Multiplies the duration by an integer factor.
+    #[inline]
     pub const fn times(self, n: u64) -> SimDuration {
         SimDuration(self.0 * n)
     }
@@ -105,12 +115,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -118,12 +130,14 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         self.0 += rhs.0;
     }
@@ -131,6 +145,7 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }

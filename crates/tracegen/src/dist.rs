@@ -101,6 +101,12 @@ pub struct Sampler {
     rng: DetRng,
     /// Zipf: precomputed cumulative weights for binary search.
     zipf_cdf: Vec<f64>,
+    /// Zipf: `zipf_guide[j]` is the first rank whose CDF value is at
+    /// least `j / GUIDE_BUCKETS`, so a draw `u` searches only the ranks
+    /// of its own bucket.
+    zipf_guide: Vec<u32>,
+    /// Uniform: the golden-ratio stride for `rows`.
+    stride: u64,
     /// Uniform: current stride position.
     stride_pos: u64,
     /// MetaLike: recent accesses ring buffer.
@@ -110,6 +116,9 @@ pub struct Sampler {
 
 const RECENT_WINDOW: usize = 256;
 
+/// Buckets of the Zipf guide table.
+const GUIDE_BUCKETS: usize = 1024;
+
 impl Sampler {
     /// Creates a sampler over `rows` rows with its own RNG stream.
     ///
@@ -118,17 +127,19 @@ impl Sampler {
     /// Panics if `rows` is zero.
     pub fn new(dist: Distribution, rows: u64, rng: DetRng) -> Self {
         assert!(rows > 0, "sampler needs at least one row");
-        let zipf_cdf = match dist {
+        let (zipf_cdf, zipf_guide) = match dist {
             Distribution::Zipfian { s }
             | Distribution::ZipfianHead { s }
             | Distribution::MetaLike { s, .. } => build_zipf_cdf(rows, s),
-            _ => Vec::new(),
+            _ => (Vec::new(), Vec::new()),
         };
         Sampler {
             dist,
             rows,
             rng,
             zipf_cdf,
+            zipf_guide,
+            stride: golden_stride(rows),
             stride_pos: 0,
             recent: Vec::with_capacity(RECENT_WINDOW),
             recent_pos: 0,
@@ -145,7 +156,7 @@ impl Sampler {
                 // Golden-ratio stride: visits rows in a balanced, spread
                 // pattern with no hot spots.
                 let idx = self.stride_pos;
-                self.stride_pos = (self.stride_pos + golden_stride(self.rows)) % self.rows;
+                self.stride_pos = (self.stride_pos + self.stride) % self.rows;
                 idx
             }
             Distribution::Random => self.rng.below(self.rows),
@@ -170,27 +181,37 @@ impl Sampler {
     }
 
     fn draw_zipf(&mut self) -> u64 {
+        // Ranks are scattered over the row space so that popular rows
+        // are not physically adjacent.
         let u = self.rng.unit_f64();
-        // Binary search the CDF; ranks are scattered over the row space
-        // so that popular rows are not physically adjacent.
-        let rank = match self
-            .zipf_cdf
-            .binary_search_by(|w| w.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.zipf_cdf.len() - 1) as u64,
-        };
+        let rank = self.zipf_rank(u);
         scatter_rank(rank, self.rows)
     }
 
     /// Zipf draw returning the raw rank (hot rows contiguous at index 0).
     fn draw_zipf_rank(&mut self) -> u64 {
         let u = self.rng.unit_f64();
-        match self
-            .zipf_cdf
-            .binary_search_by(|w| w.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) | Err(i) => (i.min(self.zipf_cdf.len() - 1) as u64).min(self.rows - 1),
+        self.zipf_rank(u).min(self.rows - 1)
+    }
+
+    /// The rank a binary search of the CDF for `u ∈ [0, 1)` yields,
+    /// clamped to the last rank. The guide narrows the search to `u`'s
+    /// bucket: every rank before it has a CDF value below `u` and every
+    /// rank past it one above. That finds the first rank at or above
+    /// `u`, which is the binary search's `Err` index whenever no value
+    /// equals `u`; an exact hit defers to the binary search itself, so
+    /// its `Ok` index is kept even across repeated CDF values.
+    fn zipf_rank(&self, u: f64) -> u64 {
+        let cdf = &self.zipf_cdf;
+        let j = (u * GUIDE_BUCKETS as f64) as usize;
+        let (lo, hi) = (self.zipf_guide[j] as usize, self.zipf_guide[j + 1] as usize);
+        let mut i = lo + cdf[lo..hi].partition_point(|&w| w < u);
+        if cdf.get(i) == Some(&u) {
+            i = match cdf.binary_search_by(|w| w.partial_cmp(&u).expect("CDF is finite")) {
+                Ok(i) | Err(i) => i,
+            };
         }
+        i.min(cdf.len() - 1) as u64
     }
 
     fn draw_normal(&mut self, sigma_frac: f64) -> u64 {
@@ -205,20 +226,36 @@ impl Sampler {
     }
 }
 
-/// Cumulative Zipf weights over `min(rows, CAP)` ranks. Capping the rank
+/// Cumulative Zipf weights over `min(rows, CAP)` ranks, and their guide
+/// table (see [`extend_guide`]), built in the same pass. Capping the rank
 /// table keeps memory bounded for huge tables; ranks past the cap carry
 /// negligible probability mass at the exponents used here.
-fn build_zipf_cdf(rows: u64, s: f64) -> Vec<f64> {
+fn build_zipf_cdf(rows: u64, s: f64) -> (Vec<f64>, Vec<u32>) {
     const CAP: u64 = 262_144;
     let n = rows.min(CAP) as usize;
     let mut weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).collect();
     let total: f64 = weights.iter().sum();
+    let mut guide = Vec::with_capacity(GUIDE_BUCKETS + 1);
     let mut acc = 0.0;
-    for w in &mut weights {
+    for (rank, w) in weights.iter_mut().enumerate() {
         acc += *w / total;
         *w = acc;
+        extend_guide(&mut guide, rank, acc);
     }
-    weights
+    assert!(acc.is_finite(), "Zipf CDF is not finite for s = {s}");
+    guide.resize(GUIDE_BUCKETS + 1, n as u32);
+    (weights, guide)
+}
+
+/// Fed a sorted CDF in rank order, builds `guide[j]` for
+/// `j ∈ 0..=GUIDE_BUCKETS`: the first rank whose CDF value is at least
+/// `j / GUIDE_BUCKETS`. `rank`, with CDF value `value`, starts every
+/// bucket whose lower bound it is the first to reach. Buckets no rank
+/// reaches are left for the caller to fill with the rank count.
+fn extend_guide(guide: &mut Vec<u32>, rank: usize, value: f64) {
+    while guide.len() <= GUIDE_BUCKETS && value >= guide.len() as f64 / GUIDE_BUCKETS as f64 {
+        guide.push(rank as u32);
+    }
 }
 
 /// Maps a popularity rank onto a physical row index, scattering hot ranks
@@ -358,6 +395,62 @@ mod tests {
         };
         assert_eq!(draws(5), draws(5));
         assert_ne!(draws(5), draws(6));
+    }
+
+    #[test]
+    fn guided_zipf_search_matches_binary_search() {
+        // Large s underflows every weight past the first few ranks, so
+        // the CDF repeats 1.0 over almost all of the table. Rounding
+        // never leaves a run of equal values below 1.0 in a built CDF,
+        // so the last case plants such runs by hand to reach the
+        // exact-hit fallback.
+        let mut samplers: Vec<Sampler> = [
+            (1, 1.05),
+            (7, 0.5),
+            (1_000, 1.05),
+            (300_000, 0.9),
+            (5_000, 40.0),
+        ]
+        .into_iter()
+        .map(|(rows, s)| Sampler::new(Distribution::Zipfian { s }, rows, DetRng::new(0)))
+        .collect();
+        let mut planted = Sampler::new(Distribution::Zipfian { s: 1.0 }, 12, DetRng::new(0));
+        planted.zipf_cdf = vec![
+            0.0, 0.1, 0.25, 0.25, 0.25, 0.5, 0.5, 0.75, 0.999, 0.999, 1.0, 1.0,
+        ];
+        planted.zipf_guide.clear();
+        for (rank, &w) in planted.zipf_cdf.iter().enumerate() {
+            extend_guide(&mut planted.zipf_guide, rank, w);
+        }
+        samplers.push(planted);
+        for (case, sampler) in samplers.iter().enumerate() {
+            let cdf = &sampler.zipf_cdf;
+            let reference = |u: f64| match cdf.binary_search_by(|w| w.partial_cmp(&u).unwrap()) {
+                Ok(i) | Err(i) => i.min(cdf.len() - 1) as u64,
+            };
+            let mut rng = DetRng::new(case as u64);
+            let points = cdf
+                .iter()
+                .copied()
+                .filter(|&w| w < 1.0)
+                .chain((0..GUIDE_BUCKETS).map(|j| j as f64 / GUIDE_BUCKETS as f64))
+                .chain((0..100_000).map(|_| rng.unit_f64()));
+            for u in points {
+                assert_eq!(sampler.zipf_rank(u), reference(u), "case {case} u={u}");
+            }
+        }
+    }
+
+    #[test]
+    fn cached_stride_draws_are_unchanged() {
+        for rows in [1, 2, 10, 1_000, 65_536, 999_983] {
+            let mut s = Sampler::new(Distribution::Uniform, rows, DetRng::new(0));
+            let mut pos = 0;
+            for _ in 0..1_000 {
+                assert_eq!(s.next_index(), pos);
+                pos = (pos + golden_stride(rows)) % rows;
+            }
+        }
     }
 
     #[test]
